@@ -6,13 +6,13 @@
 // path-vector runs at small sizes, where its loop-free path enumeration
 // stays tractable.
 //
-// The flap benchmarks take (nodes, batch_size) so one run compares the
-// serial pipeline (batch_size=1) against batched delta processing: the
-// dispatches_per_flap counter (trigger-index dispatches per converged
-// flap) is the amortization headline — batch_size>=8 must cut it >=2x —
-// with msgs_per_flap showing the per-destination frame win on the wire
-// (tuples_per_flap stays constant: framing changes packaging, not
-// content).
+// The flap benchmarks take (nodes, batch_size) so one run compares
+// single-tuple batches (batch_size=1, the serial anchor) against
+// multi-tuple batches: the dispatches_per_flap counter (trigger-index
+// dispatches per converged flap) is the amortization headline —
+// batch_size>=8 must cut it >=2x — with msgs_per_flap showing the
+// per-destination frame win on the wire (tuples_per_flap stays constant:
+// framing changes packaging, not content).
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -92,10 +92,13 @@ void RunFlapLoop(benchmark::State& state, runtime::CompiledProgramPtr prog,
     state.counters["dispatches_per_flap"] =
         static_cast<double>(TotalDispatches(engines) - base_disp) /
         static_cast<double>(flaps);
+  }
+  if (flaps > 0 && AllocCountingEnabled()) {
     // Heap allocations per converged flap (operator-new calls; whole
     // process, but the bench loop is the only allocator while running).
-    // Reads 0 unless built with -DNETTRAILS_COUNT_ALLOCS=ON; pinned by
-    // scripts/check_alloc_budget.sh in CI.
+    // Only measured when built with -DNETTRAILS_COUNT_ALLOCS=ON, and absent
+    // from the output otherwise; pinned by scripts/check_alloc_budget.sh in
+    // CI.
     state.counters["allocs_per_flap"] =
         static_cast<double>(AllocCount() - base_allocs) /
         static_cast<double>(flaps);

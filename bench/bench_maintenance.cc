@@ -13,9 +13,9 @@
 namespace nettrails {
 namespace {
 
-// Args are (nodes, batch_size): batch_size=1 is the serial pipeline,
-// batch_size>1 the batched delta pipeline (identical fixpoints, proven by
-// tests/runtime/batch_equivalence_test.cc). The batch counters show where
+// Args are (nodes, batch_size): batch_size=1 drains every delta as its own
+// batch (the serial anchor), batch_size>1 drains multi-tuple batches
+// (identical fixpoints, proven by tests/runtime/batch_equivalence_test.cc). The batch counters show where
 // the amortization lands: trigger_dispatches and agg_recomputes drop while
 // rule_firings and tuples (content) stay put.
 void RunMaintenance(benchmark::State& state, const char* program,

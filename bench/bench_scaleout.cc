@@ -147,10 +147,13 @@ void BM_Scaleout_Mincost_IncrementalFlap(benchmark::State& state) {
     state.counters["msgs_per_flap"] =
         static_cast<double>(sim.total_traffic().messages - base_msgs) /
         static_cast<double>(flaps);
-    // Whole-process operator-new calls per converged flap. Reads 0 unless
-    // built with -DNETTRAILS_COUNT_ALLOCS=ON; the threads=4 leg is pinned
-    // by scripts/check_alloc_budget.sh in CI — worker arenas and op logs
-    // must reach steady state like the shared frame pool does.
+  }
+  if (flaps > 0 && AllocCountingEnabled()) {
+    // Whole-process operator-new calls per converged flap. Only measured
+    // when built with -DNETTRAILS_COUNT_ALLOCS=ON, and absent from the
+    // output otherwise; the threads=4 leg is pinned by
+    // scripts/check_alloc_budget.sh in CI — worker arenas and op logs must
+    // reach steady state like the shared frame pool does.
     state.counters["allocs_per_flap"] =
         static_cast<double>(AllocCount() - base_allocs) /
         static_cast<double>(flaps);

@@ -10,14 +10,17 @@
 #
 # History (mincost, n=24): the pre-pooling pipeline measured 51,390
 # allocs/flap at batch 64 and 54,529 at batch 1; the pooled pipeline
-# measures ~3,920 and ~13,100. Budgets carry ~15% headroom over the
-# measured values so noise does not flake CI, while any real per-tuple
-# regression (one alloc per shipped tuple is ~1,300/flap) trips the gate.
+# measured ~3,920 and ~13,100. Batch 1 then dropped to ~5,020 when the
+# per-action pipeline was removed and a batch of one started draining
+# through the pooled batch path (batch 64 unchanged at ~3,920). Budgets
+# carry ~15% headroom over the measured values so noise does not flake
+# CI, while any real per-tuple regression (one alloc per shipped tuple is
+# ~1,300/flap) trips the gate.
 #
 # Usage: scripts/check_alloc_budget.sh [build-dir]
 #   build-dir defaults to build-alloc and must be configured with
-#   -DNETTRAILS_COUNT_ALLOCS=ON (the script fails loud if the counter
-#   reads zero, which is what a non-counting build reports).
+#   -DNETTRAILS_COUNT_ALLOCS=ON (the script fails loud if the counter is
+#   absent, which is what a non-counting build reports).
 set -euo pipefail
 
 BUILD_DIR="${1:-build-alloc}"
@@ -26,7 +29,7 @@ SCALEOUT="$BUILD_DIR/bench_scaleout"
 
 # allocs_per_flap ceilings, keyed by benchmark args (nodes/batch).
 BUDGET_24_64=4500
-BUDGET_24_1=15000
+BUDGET_24_1=5800
 # Threaded leg (bench_scaleout, nodes=64, threads=4, batch 64): the sharded
 # loop must stay pooled too — worker frame arenas and op logs reach steady
 # state exactly like the shared frame pool. Measured ~2,550 allocs/flap at
@@ -74,12 +77,8 @@ failed = False
 for name, budget in budgets.items():
     got = measured.get(name)
     if got is None:
-        print(f"FAIL {name}: no allocs_per_flap counter in bench output")
-        failed = True
-        continue
-    if got == 0:
-        print(f"FAIL {name}: allocs_per_flap reads 0 — bench was built "
-              "without -DNETTRAILS_COUNT_ALLOCS=ON")
+        print(f"FAIL {name}: no allocs_per_flap counter in bench output — "
+              "bench was built without -DNETTRAILS_COUNT_ALLOCS=ON")
         failed = True
         continue
     verdict = "FAIL" if got > budget else "ok"

@@ -9,8 +9,8 @@
 // regression metric pinned by scripts/check_alloc_budget.sh.
 //
 // In normal builds the hook is compiled out: AllocCount() returns 0 and
-// AllocCountingEnabled() is false, so all derived metrics read as zero (and
-// the budget check skips itself). The hook must NOT be combined with
+// AllocCountingEnabled() is false, so the benches omit their allocation
+// counters rather than report an unmeasured zero. The hook must NOT be combined with
 // sanitizer builds — ASan interposes malloc and operator new itself, and the
 // CMake configuration rejects the combination.
 #ifndef NETTRAILS_COMMON_ALLOC_HOOK_H_

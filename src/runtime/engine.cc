@@ -42,7 +42,6 @@ Result<Vid> AtomVid(const std::string& predicate, const CompiledAtom& atom,
 Engine::Engine(net::Simulator* sim, NodeId id, CompiledProgramPtr prog,
                EngineOptions opts)
     : sim_(sim), id_(id), prog_(std::move(prog)), opts_(opts) {
-  if (prog_->provenance) opts_.track_vid_index = true;
   InitTables();
   tuple_channel_ = sim_->InternChannel(kTupleChannel);
   sim_->RegisterHandler(id_, kTupleChannel,
@@ -205,28 +204,7 @@ void Engine::DrainQueue() {
   const uint64_t hash_hits_before = Value::ListHashCacheHits();
   const uint64_t allocs_before = AllocCountThisThread();
   while (!queue_.empty()) {
-    bool serial = opts_.batch_size <= 1;
-    if (!serial) {
-      // Soft-state tables drain serially even in batched mode: FIFO
-      // eviction and expiry-timer bookkeeping are defined against the
-      // per-action store (e.g. an eviction victim re-inserted later in the
-      // same batch must be evicted at its pre-re-insert count), so only
-      // per-delta processing is serial-exact for them. The batching win
-      // lives in the infinite-lifetime protocol and provenance tables.
-      auto it = tables_.find(queue_.front().table);
-      if (it != tables_.end()) {
-        const ndlog::TableInfo& info = it->second.info();
-        serial = info.lifetime_secs >= 0 || info.max_size >= 0;
-      }
-    }
-    if (serial) {
-      Delta delta = std::move(queue_.front());
-      queue_.pop_front();
-      ProcessDelta(delta);
-      ReleaseList(std::move(delta.fields));
-    } else {
-      ProcessBatch();
-    }
+    ProcessBatch();
     if (overflowed_) {
       queue_.clear();
       break;
@@ -241,10 +219,21 @@ void Engine::DrainQueue() {
 void Engine::ProcessBatch() {
   // Form the batch: the run of consecutive same-table deltas at the queue
   // front (mixed inserts and deletes; runs never reorder the queue, so
-  // cross-table and insert/delete ordering is exactly the serial order).
+  // cross-table and insert/delete ordering is exactly the delta order).
   const std::string table_name = queue_.front().table;
+  auto tit = tables_.find(table_name);
+  // Soft-state tables drain in batches of one: FIFO eviction and expiry
+  // bookkeeping are defined against the per-action store (an eviction
+  // victim re-inserted later in the same batch must be evicted at its
+  // pre-re-insert count). The batching win lives in the infinite-lifetime
+  // protocol and provenance tables.
+  size_t limit = std::max<size_t>(opts_.batch_size, 1);
+  if (tit != tables_.end()) {
+    const ndlog::TableInfo& info = tit->second.info();
+    if (info.lifetime_secs >= 0 || info.max_size >= 0) limit = 1;
+  }
   batch_deltas_.clear();
-  while (!queue_.empty() && batch_deltas_.size() < opts_.batch_size &&
+  while (!queue_.empty() && batch_deltas_.size() < limit &&
          queue_.front().table == table_name) {
     batch_deltas_.push_back(std::move(queue_.front()));
     queue_.pop_front();
@@ -253,7 +242,6 @@ void Engine::ProcessBatch() {
   stats_.batched_tuples += batch_deltas_.size();
   ++stats_.trigger_dispatches;
 
-  auto tit = tables_.find(table_name);
   if (tit == tables_.end()) {
     ProcessEventBatch(table_name, &batch_deltas_);
     return;
@@ -262,7 +250,7 @@ void Engine::ProcessBatch() {
 
   // Plan + apply the whole run through the table in one pass. Evaluation
   // below runs against the post-batch store; per-action suffix overlays
-  // reconstruct each action's exact serial-mode visibility.
+  // reconstruct the store each action would have seen applied alone.
   batch_reqs_.clear();
   batch_reqs_.reserve(batch_deltas_.size());
   for (Delta& d : batch_deltas_) {
@@ -282,11 +270,10 @@ void Engine::ProcessBatch() {
   if (actions_this_trigger_ > opts_.max_actions_per_trigger) {
     // Valve tripped: skip evaluation, but fall through to the per-tuple
     // epilogue — the store was already mutated, so observers and the VID
-    // index must still see every applied action (as serial mode does).
+    // index must still see every applied action.
     overflowed_ = true;
     last_error_ = "max_actions_per_trigger exceeded on " + table_name;
   } else {
-    batching_ = true;
     auto trig = prog_->triggers.find(table_name);
     if (trig != prog_->triggers.end()) {
       BatchOverlay& suffix = suffix_overlay_;
@@ -314,18 +301,16 @@ void Engine::ProcessBatch() {
       }
     }
     FlushDirtyAggregates();
-    batching_ = false;
   }
 
-  // Per-tuple post-processing in application order: exactly the serial
-  // per-action bookkeeping (provenance observers still see every tuple).
+  // Per-tuple post-processing in application order (provenance observers
+  // see every tuple).
   // Under the rewrite, its own views (eh_* / prov / ruleExec) are never
   // provenance vertices — the graph references program-tuple VIDs and
   // RIDs, both digested by f_mkvid/f_mkrid — so their rows skip VID
   // registration. Gated on prog_->provenance: without the rewrite those
   // names are ordinary user tables.
   const bool track_vids =
-      opts_.track_vid_index &&
       !(prog_->provenance && provenance::IsProvenancePredicate(table_name));
   for (const TableAction& action : actions) {
     if (track_vids && !action.is_delete) {
@@ -340,13 +325,13 @@ void Engine::ProcessBatch() {
 void Engine::ProcessEventBatch(const std::string& name,
                                std::vector<Delta>* deltas) {
   // Events fire triggers and register VIDs but are never stored; retraction
-  // deltas are dropped (as in serial mode). Event predicates cannot appear
-  // as non-delta body atoms, so no overlay is needed.
+  // deltas are dropped. Event predicates cannot appear as non-delta body
+  // atoms, so evaluation runs under an empty overlay.
   batch_actions_.Reset();
   const ActionBuffer& actions = batch_actions_;
   for (Delta& d : *deltas) {
     if (d.is_delete) continue;
-    if (opts_.track_vid_index) RegisterVid(name, d.fields);
+    RegisterVid(name, d.fields);
     TableAction& a = batch_actions_.Append();
     a.fields = d.fields;  // copy into the slot's recycled buffer
     a.mult = d.mult;
@@ -363,56 +348,19 @@ void Engine::ProcessEventBatch(const std::string& name,
     return;
   }
 
-  batching_ = true;
   auto trig = prog_->triggers.find(name);
   if (trig != prog_->triggers.end()) {
+    suffix_overlay_.Clear();
     for (const auto& [rule_idx, term_idx] : trig->second) {
       for (const TableAction& a : actions) {
-        EvalRuleWithDelta(rule_idx, term_idx, a, /*suffix=*/nullptr);
+        EvalRuleWithDelta(rule_idx, term_idx, a, &suffix_overlay_);
         if (overflowed_) break;
       }
       if (overflowed_) break;
     }
   }
   FlushDirtyAggregates();
-  batching_ = false;
   FlushOutbox();
-}
-
-void Engine::ProcessDelta(const Delta& delta) {
-  auto it = tables_.find(delta.table);
-  if (it == tables_.end()) {
-    // Event: fire triggers, register the VID, never store.
-    if (delta.is_delete) return;  // events have no retraction
-    if (opts_.track_vid_index) {
-      RegisterVid(delta.table, delta.fields);
-    }
-    TableAction action{delta.fields, delta.mult, /*is_delete=*/false};
-    FireTriggers(delta.table, action);
-    return;
-  }
-
-  Table& table = it->second;
-  if (delta.is_eviction) --pending_evictions_[delta.table];
-  std::vector<TableAction> actions =
-      delta.is_delete ? table.PlanDelete(delta.fields, delta.mult)
-                      : table.PlanInsert(delta.fields, delta.mult);
-  // See ProcessBatch: under the rewrite, its own views never need VID
-  // registration.
-  const bool track_vids =
-      opts_.track_vid_index &&
-      !(prog_->provenance && provenance::IsProvenancePredicate(delta.table));
-  for (const TableAction& action : actions) {
-    // Rules see the pre-action store; atoms positioned before the delta
-    // atom adjust by the action's effect (exact semi-naive maintenance).
-    FireTriggers(delta.table, action);
-    table.Apply(action);
-    if (track_vids && !action.is_delete) {
-      RegisterVid(delta.table, action.fields);
-    }
-    for (const ActionObserver& obs : observers_) obs(delta.table, action);
-    if (!action.is_delete) HandleSoftState(table, action);
-  }
 }
 
 void Engine::ScheduleExpiry(const std::string& name, const ValueList& key,
@@ -468,21 +416,6 @@ void Engine::HandleSoftState(const Table& table, const TableAction& action) {
       evict.is_eviction = true;
       EnqueueLocal(std::move(evict));
     }
-  }
-}
-
-void Engine::FireTriggers(const std::string& pred, const TableAction& action) {
-  if (++actions_this_trigger_ > opts_.max_actions_per_trigger) {
-    overflowed_ = true;
-    last_error_ = "max_actions_per_trigger exceeded on " + pred;
-    return;
-  }
-  ++stats_.actions_processed;
-  ++stats_.trigger_dispatches;
-  auto it = prog_->triggers.find(pred);
-  if (it == prog_->triggers.end()) return;
-  for (const auto& [rule_idx, term_idx] : it->second) {
-    EvalRuleWithDelta(rule_idx, term_idx, action, /*suffix=*/nullptr);
   }
 }
 
@@ -559,16 +492,11 @@ void Engine::JoinRec(const CompiledRule& cr, size_t rule_idx, size_t term_idx,
                   std::get<Atom>(cr.rule.body[delta_term]).predicate;
     const bool before_delta = term_idx < delta_term;
 
-    // Semi-naive visibility for self-join atoms. Serial mode: the store is
-    // pre-action, so atoms before the delta position (which must see the
-    // post-action state) adjust matches of the action tuple itself. Batched
-    // mode: the store is post-batch, so matches of any tuple the batch
-    // touched subtract the suffix overlay (the summed effects of this and
-    // all later actions), which reconstructs the pre-action store; atoms
-    // before the delta add the action's own effect back on top.
-    bool synthetic_needed = suffix == nullptr && before_delta && same_pred &&
-                            !action.is_delete &&
-                            table.CountOf(action.fields) == 0;
+    // Semi-naive visibility for self-join atoms: the store is post-batch,
+    // so matches of any tuple the batch touched subtract the suffix overlay
+    // (the summed effects of this and all later actions), which
+    // reconstructs the pre-action store; atoms before the delta (which must
+    // see the post-action state) add the action's own effect back on top.
 
     // One candidate row, shared by the probe and scan paths. The shared
     // undo stack (restored to the saved mark after each candidate — one bit
@@ -577,7 +505,7 @@ void Engine::JoinRec(const CompiledRule& cr, size_t rule_idx, size_t term_idx,
     auto consider = [&](const ValueList& fields, int64_t count) {
       ++stats_.join_probes;
       if (same_pred) {
-        if (suffix != nullptr) count -= suffix->Net(fields);
+        count -= suffix->Net(fields);
         if (before_delta && fields == action.fields) {
           count += action.is_delete ? -action.mult : action.mult;
         }
@@ -640,23 +568,13 @@ void Engine::JoinRec(const CompiledRule& cr, size_t rule_idx, size_t term_idx,
         consider(row.fields, row.count);
       }
     }
-    if (same_pred && suffix != nullptr) {
+    if (same_pred) {
       // Synthetic candidates: tuples this batch touched that are absent
       // from the post-batch store (inserted then displaced, or deleted by a
-      // later action) but visible to this action's serial-mode evaluation.
-      // `consider` re-applies the overlay, so pass a zero store count.
+      // later action) but visible to this action's evaluation. `consider`
+      // re-applies the overlay, so pass a zero store count.
       for (const ValueList* fields : suffix->absent) {
         consider(*fields, 0);
-      }
-    } else if (synthetic_needed) {
-      const size_t mark = undo_stack_.size();
-      if (MatchAtom(atom, action.fields, frame, &undo_stack_)) {
-        JoinRec(cr, rule_idx, term_idx + 1, delta_term, plans, action, suffix,
-                frame, mult * action.mult);
-        while (undo_stack_.size() > mark) {
-          frame->Unset(undo_stack_.back());
-          undo_stack_.pop_back();
-        }
       }
     }
     return;
@@ -726,35 +644,21 @@ void Engine::EmitHead(const CompiledRule& cr, size_t rule_idx,
 void Engine::ShipRemote(NodeId dst, Tuple tuple, int64_t mult,
                         bool is_delete) {
   if (suppress_shipping_) return;
-  if (batching_) {
-    // Per-destination buffering happens directly in a pooled simulator
-    // frame: the batch entry is built in place in the frame's arena, so
-    // nothing is copied again at flush time.
-    uint32_t& slot = outbox_[dst];
-    if (slot == 0) {
-      net::Simulator::FrameRef f = sim_->AcquireFrame();
-      net::Message& m = sim_->FrameMessage(f);
-      m.src = id_;
-      m.dst = dst;
-      m.channel = tuple_channel_;
-      slot = f + 1;
-      outbox_order_.push_back(dst);
-    }
-    sim_->FrameMessage(slot - 1).batch.push_back(
-        {std::move(tuple), is_delete, mult});
-    return;
+  // Per-destination buffering happens directly in a pooled simulator frame:
+  // the batch entry is built in place in the frame's arena, so nothing is
+  // copied again at flush time.
+  uint32_t& slot = outbox_[dst];
+  if (slot == 0) {
+    net::Simulator::FrameRef f = sim_->AcquireFrame();
+    net::Message& m = sim_->FrameMessage(f);
+    m.src = id_;
+    m.dst = dst;
+    m.channel = tuple_channel_;
+    slot = f + 1;
+    outbox_order_.push_back(dst);
   }
-  net::Simulator::FrameRef f = sim_->AcquireFrame();
-  net::Message& m = sim_->FrameMessage(f);
-  m.src = id_;
-  m.dst = dst;
-  m.channel = tuple_channel_;
-  m.payload = std::move(tuple);
-  m.is_delete = is_delete;
-  m.multiplicity = mult;
-  ++stats_.messages_sent;
-  ++stats_.tuples_shipped;
-  if (!sim_->SendFrame(f)) ++stats_.send_failures;
+  sim_->FrameMessage(slot - 1).batch.push_back(
+      {std::move(tuple), is_delete, mult});
 }
 
 void Engine::FlushOutbox() {
@@ -763,8 +667,8 @@ void Engine::FlushOutbox() {
     net::Message& msg = sim_->FrameMessage(f);
     const size_t n = msg.batch.size();
     if (n == 1) {
-      // Single delta: ship the legacy frame (identical wire size to serial
-      // mode).
+      // Single delta: ship the legacy single-tuple frame (no batch
+      // framing on the wire).
       msg.payload = std::move(msg.batch[0].payload);
       msg.is_delete = msg.batch[0].is_delete;
       msg.multiplicity = msg.batch[0].multiplicity;
@@ -836,20 +740,16 @@ void Engine::HandleAggContribution(const CompiledRule& cr, size_t rule_idx,
   }
   AggGroupState& state = it->second;
   state.group.Adjust(agg_value, vids, is_delete ? -mult : mult);
-  if (batching_) {
-    // Defer: the batch recomputes each touched group's output once, so a
-    // cascade that adjusts a group N times pays one recomputation (and
-    // enqueues no intermediate outputs — the fixpoint is unchanged, only
-    // the transient churn). The per-state flag replaces a keyed dirty set:
-    // states are unique per (rule, group), so marking the state is
-    // equivalent and skips the group-key copy.
-    if (!state.dirty) {
-      state.dirty = true;
-      dirty_aggs_.push_back({rule_idx, &it->first.second, &state});
-    }
-    return;
+  // Defer: the batch recomputes each touched group's output once, so a
+  // cascade that adjusts a group N times pays one recomputation (and
+  // enqueues no intermediate outputs — the fixpoint is unchanged, only the
+  // transient churn). The per-state flag replaces a keyed dirty set: states
+  // are unique per (rule, group), so marking the state is equivalent and
+  // skips the group-key copy.
+  if (!state.dirty) {
+    state.dirty = true;
+    dirty_aggs_.push_back({rule_idx, &it->first.second, &state});
   }
-  RecomputeAggGroup(cr, it->first.second, &state);
 }
 
 void Engine::FlushDirtyAggregates() {
@@ -1066,7 +966,6 @@ void Engine::RestoreCheckpoint(const EngineCheckpoint& ckpt) {
   ++restart_epoch_;
   queue_.clear();
   draining_ = false;
-  batching_ = false;
   overflowed_ = false;
   last_error_.clear();
   dirty_aggs_.clear();

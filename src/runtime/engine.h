@@ -36,9 +36,6 @@ struct EngineOptions {
   /// Safety valve: abort (and flag overflowed()) if a single external
   /// trigger cascades into more than this many actions.
   uint64_t max_actions_per_trigger = 2'000'000;
-  /// Maintain the VID -> tuple index (needed by the provenance query
-  /// engine; forced on when the program has provenance).
-  bool track_vid_index = true;
   /// Probe planner-selected secondary hash indexes in the join loop instead
   /// of scanning tables. Off is only useful for measuring the speedup
   /// (bench_join) — results are identical either way.
@@ -46,12 +43,12 @@ struct EngineOptions {
   /// Maximum tuples drained from the local queue into one DeltaBatch (a run
   /// of consecutive same-table deltas processed together: one trigger
   /// dispatch, one Table::ApplyBatch, one aggregate recomputation per
-  /// touched group, and per-destination batch message frames). 1 selects
-  /// the serial pre-batching pipeline exactly — per-tuple dispatch,
-  /// immediate aggregate recomputation, per-tuple shipping — and anchors
-  /// the batched-vs-serial equivalence suite
-  /// (tests/runtime/batch_equivalence_test.cc). Both modes converge to
-  /// identical table fixpoints, aggregate values, and provenance graphs.
+  /// touched group, and per-destination batch message frames). 1 makes
+  /// every delta its own batch — the serial anchor of the batch
+  /// equivalence suite (tests/runtime/batch_equivalence_test.cc); 0 is
+  /// treated as 1. Every setting converges to identical table fixpoints,
+  /// aggregate values, and provenance graphs. Soft-state tables always
+  /// drain in batches of one.
   uint32_t batch_size = 64;
 };
 
@@ -60,11 +57,11 @@ struct EngineStats {
   /// batch frames arriving from the network are unpacked before counting —
   /// so the value is batch_size-independent.
   uint64_t deltas_enqueued = 0;
-  uint64_t batches_processed = 0;  // DeltaBatches drained (batched mode)
+  /// DeltaBatches drained (at batch_size 1, one per drained delta).
+  uint64_t batches_processed = 0;
   uint64_t batched_tuples = 0;     // tuples those batches carried
-  /// Trigger-index dispatches: one per visible action in serial mode, one
-  /// per DeltaBatch in batched mode (the dispatch-amortization metric
-  /// bench_churn reports per converged link flap).
+  /// Trigger-index dispatches: one per DeltaBatch (the dispatch-
+  /// amortization metric bench_churn reports per converged link flap).
   uint64_t trigger_dispatches = 0;
   uint64_t actions_processed = 0;
   uint64_t rule_firings = 0;
@@ -265,9 +262,9 @@ class Engine {
 
   /// Net per-tuple count adjustments carried by a suffix of a batch's
   /// actions, with first-touch enumeration order for determinism. During
-  /// batched evaluation of action i the overlay holds the summed effects of
+  /// evaluation of action i the overlay holds the summed effects of
   /// actions [i..n): subtracting it from the post-batch store reconstructs
-  /// exactly the store action i saw in serial mode. Entries are kept at
+  /// exactly the store before action i applied. Entries are kept at
   /// net 0 so every tuple the batch touches stays enumerable (the
   /// synthetic-candidate sweep in JoinRec relies on it).
   ///
@@ -339,23 +336,22 @@ class Engine {
     return out;
   }
   void DrainQueue();
-  void ProcessDelta(const Delta& delta);
   /// Shared core of DropRemoteDerivations / DropDerivationsFrom: retracts
   /// prov rows (and their targets) grounded at any remote node
   /// (`any_remote`) or at `origin` specifically, cascading locally;
   /// outbound deltas ship only when `ship_retractions`.
   void ScrubGroundedRows(bool any_remote, NodeId origin,
                          bool ship_retractions);
-  /// Batched pipeline: drains a run of consecutive same-table deltas from
-  /// the queue front and processes them as one DeltaBatch (one-pass
-  /// ApplyBatch, rule-major evaluation under suffix overlays, one aggregate
-  /// recomputation per touched group, per-destination batch shipping).
+  /// The delta pipeline: drains a run of consecutive same-table deltas
+  /// from the queue front (at most batch_size; one for soft-state tables)
+  /// and processes them as one DeltaBatch (one-pass ApplyBatch, rule-major
+  /// evaluation under suffix overlays, one aggregate recomputation per
+  /// touched group, per-destination batch shipping).
   void ProcessBatch();
   void ProcessEventBatch(const std::string& name, std::vector<Delta>* deltas);
-  void FireTriggers(const std::string& pred, const TableAction& action);
   /// Joins the rule body around the delta atom; `action` is the visible
   /// change that seeded the evaluation. `suffix` is the batch overlay for
-  /// this action (nullptr in serial mode and for event deltas).
+  /// this action (never null; empty for event deltas).
   void EvalRuleWithDelta(size_t rule_idx, size_t delta_term,
                          const TableAction& action,
                          const BatchOverlay* suffix);
@@ -374,8 +370,8 @@ class Engine {
                  Frame* frame, std::vector<int>* added) const;
   void EmitHead(const CompiledRule& cr, size_t rule_idx, const Frame& frame,
                 int64_t mult, bool is_delete);
-  /// Ships one tuple delta to a remote node: immediately in serial mode,
-  /// buffered into the per-destination outbox during batch processing.
+  /// Buffers one tuple delta for a remote node into the per-destination
+  /// outbox; FlushOutbox sends it at the end of the batch.
   void ShipRemote(NodeId dst, Tuple tuple, int64_t mult, bool is_delete);
   /// Sends each destination's buffered deltas as one batch frame.
   void FlushOutbox();
@@ -470,10 +466,8 @@ class Engine {
                      AggKeyEq>
       agg_state_;
 
-  // Batch-scoped state: true while a DeltaBatch is being evaluated (routes
-  // remote shipping into the outbox and aggregate recomputation into the
-  // dirty set).
-  bool batching_ = false;
+  // Batch-scoped state, flushed at the end of every DeltaBatch (aggregate
+  // recomputation, then the outbox).
   /// Touched aggregate groups in first-touch order. Group key and state
   /// live in agg_state_ nodes (stable — the map never erases), so the dirty
   /// list carries pointers, not ValueList copies.

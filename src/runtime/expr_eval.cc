@@ -193,12 +193,11 @@ Result<Value> EvalNode(const CompiledExpr& expr, uint32_t id,
       // per nesting level seen. One pool per thread: parallel simulator
       // workers each evaluate their own nodes' rules, and a shared pool
       // would both race and ping-pong cache lines.
-      static thread_local std::vector<std::vector<Value>>* pool =
-          new std::vector<std::vector<Value>>();
+      static thread_local std::vector<std::vector<Value>> pool;
       std::vector<Value> args;
-      if (!pool->empty()) {
-        args = std::move(pool->back());
-        pool->pop_back();
+      if (!pool.empty()) {
+        args = std::move(pool.back());
+        pool.pop_back();
         args.clear();
       }
       args.reserve(node.children.size());
@@ -207,7 +206,7 @@ Result<Value> EvalNode(const CompiledExpr& expr, uint32_t id,
         args.push_back(std::move(v));
       }
       Result<Value> r = (*node.fn)(args);
-      pool->push_back(std::move(args));
+      pool.push_back(std::move(args));
       return r;
     }
     case CompiledExpr::Op::kBinary: {

@@ -2,8 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
-#include <sstream>
+#include <string>
 
 #include "src/net/topology.h"
 #include "src/protocols/programs.h"
@@ -16,14 +15,6 @@ namespace {
 
 std::string SrcPath(const std::string& rel) {
   return std::string(NETTRAILS_SOURCE_DIR) + "/" + rel;
-}
-
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path);
-  EXPECT_TRUE(in.good()) << path;
-  std::stringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
 }
 
 // ---------------------------------------------------------------------------

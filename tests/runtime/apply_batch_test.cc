@@ -4,8 +4,8 @@
 // of the same key inside one batch, key replacement, count-to-zero
 // retraction, and spurious-delete accounting — while keeping every
 // secondary index consistent. Engine-level soft-state (FIFO eviction and
-// lifetime expiry) equivalence between batched and serial modes is covered
-// at the bottom.
+// lifetime expiry) equivalence across batch sizes is covered at the
+// bottom.
 #include <gtest/gtest.h>
 
 #include "src/common/rand.h"
@@ -244,11 +244,11 @@ TEST(SoftStateBatchEquivalenceTest, FifoEvictionOrderMatchesSerial) {
 
 TEST(SoftStateBatchEquivalenceTest, FifoVictimReinsertedInSameBatchMatchesSerial) {
   // Regression: a burst that inserts a fresh key AND re-derives the current
-  // FIFO victim. Serial mode evicts the victim at its pre-re-insert count
-  // (the re-insert then survives with the remainder); a naive batched
-  // epilogue would read the victim's post-batch count and over-evict. The
-  // engine therefore drains soft-state tables serially even in batched
-  // mode — this pins that.
+  // FIFO victim. Per-delta processing evicts the victim at its pre-re-insert
+  // count (the re-insert then survives with the remainder); a multi-tuple
+  // batch epilogue would read the victim's post-batch count and over-evict.
+  // The engine therefore drains soft-state tables in batches of one at
+  // every batch_size — this pins that.
   const char* src = R"(
     materialize(item, infinity, infinity, keys(1,2)).
     materialize(cache, infinity, 2, keys(1,2)).

@@ -1,7 +1,8 @@
 // Batched-vs-serial equivalence harness: the engine's DeltaBatch pipeline
-// (EngineOptions::batch_size > 1) must reach exactly the state the serial
-// pipeline (batch_size = 1, the pre-batching engine preserved verbatim)
-// reaches — identical table fixpoints (which subsumes identical aggregate
+// at EngineOptions::batch_size > 1 must reach exactly the state the serial
+// anchor (batch_size = 1: every delta drains as its own batch, whose suffix
+// overlay is exactly the pre-action store) reaches — identical table
+// fixpoints (which subsumes identical aggregate
 // output values: aggregate outputs are rows of mincost / bestcost), and
 // bit-identical distributed provenance graphs — under randomized seeded
 // churn: link flaps and failure bursts over the path-vector and MINCOST
@@ -231,9 +232,11 @@ TEST_P(BatchEquivalence, BatchedFixpointMatchesSerial) {
   EXPECT_EQ(batched8, serial) << "batch_size=8 diverged from serial";
   EXPECT_EQ(batched64, serial) << "batch_size=64 diverged from serial";
 
-  // The serial anchor forms no batches; the batched runs must actually
-  // exercise the pipeline (multi-tuple batches, not just runs of one).
-  EXPECT_EQ(serial_ws.batches_processed, 0u);
+  // The serial anchor drains single-tuple batches; the batched runs must
+  // actually exercise the pipeline (multi-tuple batches, not just runs of
+  // one).
+  EXPECT_GT(serial_ws.batches_processed, 0u);
+  EXPECT_EQ(serial_ws.batched_tuples, serial_ws.batches_processed);
   EXPECT_GT(b8_ws.batches_processed, 0u);
   EXPECT_GT(b8_ws.batched_tuples, b8_ws.batches_processed);
   EXPECT_GT(b64_ws.batched_tuples, b64_ws.batches_processed);
@@ -260,9 +263,10 @@ INSTANTIATE_TEST_SUITE_P(
 // EngineStats batch counters.
 
 TEST(BatchStatsTest, DeltasEnqueuedCountsTuplesNotBatches) {
-  // One gossip event fans out into 3 remote deltas: the batched sender
-  // frames them into a single message, but the receiver must still count 3
-  // enqueued deltas (plus nothing else on the sender beyond the event).
+  // One gossip event fans out into 3 remote deltas: at every batch size the
+  // sender frames them into a single message (they come from one action),
+  // but the receiver must still count 3 enqueued deltas (plus nothing else
+  // on the sender beyond the event).
   Result<CompiledProgramPtr> prog = Compile(R"(
     materialize(item, infinity, infinity, keys(1,2)).
     materialize(told, infinity, infinity, keys(1,2)).
@@ -293,25 +297,19 @@ TEST(BatchStatsTest, DeltasEnqueuedCountsTuplesNotBatches) {
     // Per-tuple accounting regardless of framing.
     EXPECT_EQ(receiver.stats().deltas_enqueued, 3u) << "batch=" << batch_size;
     EXPECT_EQ(sender.stats().tuples_shipped, 3u) << "batch=" << batch_size;
-    if (batch_size == 1) {
-      EXPECT_EQ(sender.stats().messages_sent, 3u);
-      EXPECT_EQ(sender.stats().batch_messages_sent, 0u);
-      EXPECT_EQ(receiver.stats().batches_processed, 0u);
-    } else {
-      // One frame carrying all 3 deltas; the receiver drains them as one
-      // DeltaBatch.
-      EXPECT_EQ(sender.stats().messages_sent, 1u);
-      EXPECT_EQ(sender.stats().batch_messages_sent, 1u);
-      EXPECT_EQ(receiver.stats().batches_processed, 1u);
-      EXPECT_EQ(receiver.stats().batched_tuples, 3u);
-    }
+    EXPECT_EQ(sender.stats().messages_sent, 1u) << "batch=" << batch_size;
+    EXPECT_EQ(sender.stats().batch_messages_sent, 1u) << "batch=" << batch_size;
+    EXPECT_EQ(receiver.stats().batched_tuples, 3u) << "batch=" << batch_size;
+    // The receiver drains the frame's 3 deltas as one DeltaBatch, or as
+    // three single-tuple batches at batch_size 1.
+    EXPECT_EQ(receiver.stats().batches_processed, batch_size == 1 ? 3u : 1u);
   }
 }
 
 TEST(BatchStatsTest, BatchesProcessedAndDispatchAmortization) {
   // A local fan-out: one trigger derives 8 same-table tuples, so the
   // batched engine drains them as one batch (1 trigger dispatch) while the
-  // serial engine dispatches 8 times.
+  // serial anchor drains 8 single-tuple batches.
   Result<CompiledProgramPtr> prog = Compile(R"(
     materialize(item, infinity, infinity, keys(1,2)).
     materialize(copy, infinity, infinity, keys(1,2)).
@@ -347,11 +345,12 @@ TEST(BatchStatsTest, BatchesProcessedAndDispatchAmortization) {
   EngineStats serial_stats, batched_stats;
   uint64_t serial = dispatches(1, &serial_stats);
   uint64_t batched = dispatches(64, &batched_stats);
-  // Serial: 1 event + 8 copy + 8 twice = 17 dispatches. Batched: 1 event
-  // batch + 1 copy batch + 1 twice batch = 3.
+  // Serial: 1 event + 8 copy + 8 twice = 17 single-tuple batches, one
+  // dispatch each. Batched: 1 event batch + 1 copy batch + 1 twice batch = 3.
   EXPECT_EQ(serial, 17u);
   EXPECT_EQ(batched, 3u);
-  EXPECT_EQ(serial_stats.batches_processed, 0u);
+  EXPECT_EQ(serial_stats.batches_processed, 17u);
+  EXPECT_EQ(serial_stats.batched_tuples, 17u);
   EXPECT_EQ(batched_stats.batches_processed, 3u);
   EXPECT_EQ(batched_stats.batched_tuples, 17u);
 }
