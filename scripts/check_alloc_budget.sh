@@ -12,10 +12,13 @@
 # allocs/flap at batch 64 and 54,529 at batch 1; the pooled pipeline
 # measured ~3,920 and ~13,100. Batch 1 then dropped to ~5,020 when the
 # per-action pipeline was removed and a batch of one started draining
-# through the pooled batch path (batch 64 unchanged at ~3,920). Budgets
-# carry ~15% headroom over the measured values so noise does not flake
-# CI, while any real per-tuple regression (one alloc per shipped tuple is
-# ~1,300/flap) trips the gate.
+# through the pooled batch path (batch 64 unchanged at ~3,920). f_mkrid
+# then stopped building a Vid vector per call (two calls per derivation
+# under the provenance rewrite) and queued deltas stopped carrying
+# predicate names: ~2,480 at batch 64, ~3,230 at batch 1, and ~1,590 on
+# the threaded leg below. Budgets carry ~15% headroom over the measured
+# values so noise does not flake CI, while any real per-tuple regression
+# (one alloc per shipped tuple is ~1,300/flap) trips the gate.
 #
 # Usage: scripts/check_alloc_budget.sh [build-dir]
 #   build-dir defaults to build-alloc and must be configured with
@@ -28,14 +31,15 @@ BENCH="$BUILD_DIR/bench_churn"
 SCALEOUT="$BUILD_DIR/bench_scaleout"
 
 # allocs_per_flap ceilings, keyed by benchmark args (nodes/batch).
-BUDGET_24_64=4500
-BUDGET_24_1=5800
+BUDGET_24_64=2850
+BUDGET_24_1=3700
 # Threaded leg (bench_scaleout, nodes=64, threads=4, batch 64): the sharded
 # loop must stay pooled too — worker frame arenas and op logs reach steady
 # state exactly like the shared frame pool. Measured ~2,550 allocs/flap at
 # threads 1, 2, AND 4 (the parallel path adds zero steady-state
-# allocation); ~15% headroom like the serial budgets above.
-BUDGET_SCALEOUT_64_4=3000
+# allocation); ~1,590 at each of those thread counts since f_mkrid stopped
+# allocating. ~15% headroom like the serial budgets above.
+BUDGET_SCALEOUT_64_4=1850
 
 if [[ ! -x "$BENCH" || ! -x "$SCALEOUT" ]]; then
   echo "error: $BENCH / $SCALEOUT not built; configure with:" >&2

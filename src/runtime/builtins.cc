@@ -218,17 +218,17 @@ Result<Value> FMkVid(const std::vector<Value>& args) {
       DigestTuple(args[0].as_string(), args.data() + 1, args.data() + args.size()));
 }
 
-// f_mkrid("rule", Loc, VidList): the RID of a rule execution.
+// f_mkrid("rule", Loc, VidList): the RID of a rule execution, hashed from
+// the VID list in place (this runs twice per derivation under the
+// provenance rewrite).
 Result<Value> FMkRid(const std::vector<Value>& args) {
   if (args.size() != 3 || !args[0].is_string() || !args[1].is_address() ||
       !args[2].is_list()) {
     return Status::TypeError(
         "f_mkrid expects (rule name, location, vid list)");
   }
-  std::vector<Vid> vids;
-  vids.reserve(args[2].as_list().size());
-  for (const Value& v : args[2].as_list()) vids.push_back(ValueToVid(v));
-  return VidToValue(RuleExecRid(args[0].as_string(), args[1].as_address(), vids));
+  return VidToValue(RuleExecRid(args[0].as_string(), args[1].as_address(),
+                                args[2].as_list()));
 }
 
 const std::map<std::string, BuiltinInfo>& Registry() {
@@ -314,12 +314,12 @@ Vid TupleVid(const std::string& name, const ValueList& fields) {
 }
 
 Vid RuleExecRid(const std::string& rule_name, NodeId loc,
-                const std::vector<Vid>& vids) {
+                const ValueList& vids) {
   Hasher h;
   h.AddString(rule_name);
   h.AddU64(loc);
   h.AddU64(vids.size());
-  for (Vid v : vids) h.AddU64(v);
+  for (const Value& v : vids) h.AddU64(ValueToVid(v));
   return h.Digest();
 }
 

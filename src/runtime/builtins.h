@@ -72,9 +72,11 @@ std::vector<std::string> BuiltinNames();
 Vid TupleVid(const std::string& name, const ValueList& fields);
 
 /// RID of a rule execution: digest of (rule name, executing node, input VID
-/// list). Mirrors the f_mkrid builtin.
+/// list), the VIDs encoded as by VidToValue (a ruleExec row's list). The
+/// f_mkrid builtin and the aggregate provenance path both call this, so
+/// declarative and engine-computed RIDs agree bit-for-bit.
 Vid RuleExecRid(const std::string& rule_name, NodeId loc,
-                const std::vector<Vid>& vids);
+                const ValueList& vids);
 
 /// Vids encode into Value as Int (bit-cast); these convert losslessly.
 Value VidToValue(Vid vid);

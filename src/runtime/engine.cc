@@ -43,6 +43,10 @@ Engine::Engine(net::Simulator* sim, NodeId id, CompiledProgramPtr prog,
                EngineOptions opts)
     : sim_(sim), id_(id), prog_(std::move(prog)), opts_(opts) {
   InitTables();
+  if (prog_->provenance) {
+    rule_exec_pred_ = PredIdOf(provenance::kRuleExecTable);
+    prov_pred_ = PredIdOf(provenance::kProvTable);
+  }
   tuple_channel_ = sim_->InternChannel(kTupleChannel);
   sim_->RegisterHandler(id_, kTupleChannel,
                         [this](net::Message& msg) { OnTupleMessage(msg); });
@@ -77,6 +81,39 @@ void Engine::InitTables() {
       if (it != tables_.end()) term_tables_[r][pos] = &it->second;
     }
   }
+  // Per-predicate slots, so the drain path never touches a name.
+  unknown_preds_.clear();
+  preds_.clear();
+  for (const std::string& name : prog_->predicates) {
+    preds_.push_back(SlotFor(name));
+  }
+}
+
+Engine::PredSlot Engine::SlotFor(const std::string& name) {
+  PredSlot slot;
+  slot.name = &name;
+  auto tit = tables_.find(name);
+  if (tit != tables_.end()) {
+    slot.table = &tit->second;
+    const ndlog::TableInfo& info = tit->second.info();
+    slot.soft_state = info.lifetime_secs >= 0 || info.max_size >= 0;
+  }
+  auto trig = prog_->triggers.find(name);
+  if (trig != prog_->triggers.end()) slot.triggers = &trig->second;
+  // Gated on prog_->provenance: without the rewrite those names are
+  // ordinary user tables.
+  slot.track_vids =
+      !(prog_->provenance && provenance::IsProvenancePredicate(name));
+  return slot;
+}
+
+PredId Engine::PredIdOf(const std::string& name) {
+  const int id = prog_->PredicateId(name);
+  if (id >= 0) return static_cast<PredId>(id);
+  auto [it, fresh] =
+      unknown_preds_.try_emplace(name, static_cast<PredId>(preds_.size()));
+  if (fresh) preds_.push_back(SlotFor(it->first));
+  return it->second;
 }
 
 void Engine::SchedulePeriodics() {
@@ -102,7 +139,7 @@ void Engine::FirePeriodic(PeriodicStream stream, int64_t iteration) {
   h.AddU64(static_cast<uint64_t>(iteration));
   h.AddU64(restart_epoch_);
   Value eid = Value::Int(static_cast<int64_t>(h.Digest() >> 1));
-  EnqueueLocal({kPeriodicPredicate,
+  EnqueueLocal({PredIdOf(kPeriodicPredicate),
                 {Value::Address(id_), eid, Value::Int(stream.period_secs),
                  Value::Int(stream.count)},
                 1,
@@ -124,11 +161,12 @@ Status Engine::Insert(const Tuple& tuple) {
                                    " is not located at node " +
                                    std::to_string(id_));
   }
-  auto it = tables_.find(tuple.name());
-  if (it == tables_.end()) {
+  const int pred = prog_->PredicateId(tuple.name());
+  if (pred < 0 || preds_[static_cast<size_t>(pred)].table == nullptr) {
     return Status::NotFound("no materialized table " + tuple.name());
   }
-  EnqueueLocal({tuple.name(), tuple.fields(), 1, /*is_delete=*/false});
+  EnqueueLocal({static_cast<PredId>(pred), tuple.fields(), 1,
+                /*is_delete=*/false});
   DrainQueue();
   return Status::OK();
 }
@@ -139,17 +177,20 @@ Status Engine::Delete(const Tuple& tuple) {
                                    " is not located at node " +
                                    std::to_string(id_));
   }
-  auto it = tables_.find(tuple.name());
-  if (it == tables_.end()) {
+  const int pred = prog_->PredicateId(tuple.name());
+  const Table* table =
+      pred < 0 ? nullptr : preds_[static_cast<size_t>(pred)].table;
+  if (table == nullptr) {
     return Status::NotFound("no materialized table " + tuple.name());
   }
   // External deletion retracts the tuple entirely (all external
   // derivations); base tuples normally have count 1.
-  int64_t count = it->second.CountOf(tuple.fields());
+  int64_t count = table->CountOf(tuple.fields());
   if (count == 0) {
     return Status::NotFound("tuple " + tuple.ToString() + " not present");
   }
-  EnqueueLocal({tuple.name(), tuple.fields(), count, /*is_delete=*/true});
+  EnqueueLocal({static_cast<PredId>(pred), tuple.fields(), count,
+                /*is_delete=*/true});
   DrainQueue();
   return Status::OK();
 }
@@ -160,11 +201,12 @@ Status Engine::InsertEvent(const Tuple& tuple) {
                                    " is not located at node " +
                                    std::to_string(id_));
   }
-  if (tables_.count(tuple.name())) {
+  const PredId pred = PredIdOf(tuple.name());
+  if (preds_[pred].table != nullptr) {
     return Status::InvalidArgument("table " + tuple.name() +
                                    " is materialized; use Insert");
   }
-  EnqueueLocal({tuple.name(), tuple.fields(), 1, /*is_delete=*/false});
+  EnqueueLocal({pred, tuple.fields(), 1, /*is_delete=*/false});
   DrainQueue();
   return Status::OK();
 }
@@ -176,14 +218,16 @@ void Engine::OnTupleMessage(net::Message& msg) {
   if (!msg.batch.empty()) {
     // Batch frame: unpack in order. deltas_enqueued stays per tuple.
     for (net::BatchedTuple& b : msg.batch) {
-      EnqueueLocal({b.payload.name(), std::move(b.payload.mutable_fields()),
-                    b.multiplicity, b.is_delete});
+      EnqueueLocal({PredIdOf(b.payload.name()),
+                    std::move(b.payload.mutable_fields()), b.multiplicity,
+                    b.is_delete});
     }
     DrainQueue();
     return;
   }
-  EnqueueLocal({msg.payload.name(), std::move(msg.payload.mutable_fields()),
-                msg.multiplicity, msg.is_delete});
+  EnqueueLocal({PredIdOf(msg.payload.name()),
+                std::move(msg.payload.mutable_fields()), msg.multiplicity,
+                msg.is_delete});
   DrainQueue();
 }
 
@@ -217,24 +261,22 @@ void Engine::DrainQueue() {
 }
 
 void Engine::ProcessBatch() {
-  // Form the batch: the run of consecutive same-table deltas at the queue
-  // front (mixed inserts and deletes; runs never reorder the queue, so
-  // cross-table and insert/delete ordering is exactly the delta order).
-  const std::string table_name = queue_.front().table;
-  auto tit = tables_.find(table_name);
+  // Form the batch: the run of consecutive same-predicate deltas at the
+  // queue front (mixed inserts and deletes; runs never reorder the queue,
+  // so cross-table and insert/delete ordering is exactly the delta order).
+  // The slot is copied: an observer calling an entry point may grow preds_.
+  const PredId pred = queue_.front().pred;
+  const PredSlot slot = preds_[pred];
   // Soft-state tables drain in batches of one: FIFO eviction and expiry
   // bookkeeping are defined against the per-action store (an eviction
   // victim re-inserted later in the same batch must be evicted at its
   // pre-re-insert count). The batching win lives in the infinite-lifetime
   // protocol and provenance tables.
-  size_t limit = std::max<size_t>(opts_.batch_size, 1);
-  if (tit != tables_.end()) {
-    const ndlog::TableInfo& info = tit->second.info();
-    if (info.lifetime_secs >= 0 || info.max_size >= 0) limit = 1;
-  }
+  const size_t limit =
+      slot.soft_state ? 1 : std::max<size_t>(opts_.batch_size, 1);
   batch_deltas_.clear();
   while (!queue_.empty() && batch_deltas_.size() < limit &&
-         queue_.front().table == table_name) {
+         queue_.front().pred == pred) {
     batch_deltas_.push_back(std::move(queue_.front()));
     queue_.pop_front();
   }
@@ -242,19 +284,20 @@ void Engine::ProcessBatch() {
   stats_.batched_tuples += batch_deltas_.size();
   ++stats_.trigger_dispatches;
 
-  if (tit == tables_.end()) {
-    ProcessEventBatch(table_name, &batch_deltas_);
+  if (slot.table == nullptr) {
+    ProcessEventBatch(slot, &batch_deltas_);
     return;
   }
-  Table& table = tit->second;
+  Table& table = *slot.table;
 
   // Plan + apply the whole run through the table in one pass. Evaluation
   // below runs against the post-batch store; per-action suffix overlays
-  // reconstruct the store each action would have seen applied alone.
+  // reconstruct, for self-join atoms, the store each action would have
+  // seen applied alone.
   batch_reqs_.clear();
   batch_reqs_.reserve(batch_deltas_.size());
   for (Delta& d : batch_deltas_) {
-    if (d.is_eviction) --pending_evictions_[table_name];
+    if (d.is_eviction) --pending_evictions_[pred];
     batch_reqs_.push_back({std::move(d.fields), d.mult, d.is_delete});
   }
   batch_actions_.Reset();
@@ -272,66 +315,87 @@ void Engine::ProcessBatch() {
     // epilogue — the store was already mutated, so observers and the VID
     // index must still see every applied action.
     overflowed_ = true;
-    last_error_ = "max_actions_per_trigger exceeded on " + table_name;
+    last_error_ = "max_actions_per_trigger exceeded on " + *slot.name;
   } else {
-    auto trig = prog_->triggers.find(table_name);
-    if (trig != prog_->triggers.end()) {
-      BatchOverlay& suffix = suffix_overlay_;
-      for (const auto& [rule_idx, term_idx] : trig->second) {
-        // The overlay starts as the net effect of the whole batch and
-        // shrinks as evaluation advances: when action i evaluates it holds
-        // the summed effects of actions [i..n).
-        suffix.Clear();
-        for (const TableAction& a : actions) {
-          suffix.Add(a.fields, a.is_delete ? -a.mult : a.mult);
-        }
-        // The store is frozen during evaluation, so which batch-touched
-        // tuples are absent from it (the synthetic-candidate pool) is
-        // computed once per rule pass, not per probe.
-        suffix.absent.clear();
-        for (const BatchOverlay::Entry& e : suffix.slab) {
-          if (table.CountOf(*e.fields) == 0) suffix.absent.push_back(e.fields);
-        }
-        for (const TableAction& a : actions) {
-          EvalRuleWithDelta(rule_idx, term_idx, a, &suffix);
-          if (overflowed_) break;
-          suffix.Add(a.fields, a.is_delete ? a.mult : -a.mult);
-        }
-        if (overflowed_) break;
-      }
-    }
+    if (slot.triggers != nullptr) EvalTriggers(*slot.triggers, table, actions);
     FlushDirtyAggregates();
   }
 
   // Per-tuple post-processing in application order (provenance observers
   // see every tuple).
-  // Under the rewrite, its own views (eh_* / prov / ruleExec) are never
-  // provenance vertices — the graph references program-tuple VIDs and
-  // RIDs, both digested by f_mkvid/f_mkrid — so their rows skip VID
-  // registration. Gated on prog_->provenance: without the rewrite those
-  // names are ordinary user tables.
-  const bool track_vids =
-      !(prog_->provenance && provenance::IsProvenancePredicate(table_name));
   for (const TableAction& action : actions) {
-    if (track_vids && !action.is_delete) {
-      RegisterVid(table_name, action.fields);
+    if (slot.track_vids && !action.is_delete) {
+      RegisterVid(*slot.name, action.fields);
     }
-    for (const ActionObserver& obs : observers_) obs(table_name, action);
-    if (!action.is_delete) HandleSoftState(table, action);
+    for (const ActionObserver& obs : observers_) obs(*slot.name, action);
+    if (slot.soft_state && !action.is_delete) {
+      HandleSoftState(pred, table, action);
+    }
   }
   FlushOutbox();
 }
 
-void Engine::ProcessEventBatch(const std::string& name,
+void Engine::EvalTriggers(const std::vector<TriggerEntry>& triggers,
+                          const Table& table, const ActionBuffer& actions) {
+  // Rule-major: each rule evaluates over every action before the next rule
+  // starts, so each rule's head deltas leave in action order. A rule's
+  // entries are adjacent in the index; a rule with several is a self-join,
+  // whose entries evaluate action-major instead (each action through every
+  // delta term before the next action). Rule-major order there could queue
+  // a retraction from one delta term ahead of the insertion it cancels from
+  // another, and retracting an absent tuple is a no-op.
+  for (size_t first = 0; first < triggers.size() && !overflowed_;) {
+    size_t last = first + 1;
+    while (last < triggers.size() &&
+           triggers[last].rule_idx == triggers[first].rule_idx) {
+      ++last;
+    }
+    // JoinRec reads the overlay only for body atoms on this table, so only
+    // a self-join needs it; every other rule evaluates against the empty
+    // one.
+    const bool self_join = triggers[first].self_join;
+    if (self_join) {
+      // The overlay starts as the net effect of the whole batch and shrinks
+      // as evaluation advances: when action i evaluates it holds the summed
+      // effects of actions [i..n).
+      suffix_overlay_.Clear();
+      for (const TableAction& a : actions) {
+        suffix_overlay_.Add(a.fields, a.is_delete ? -a.mult : a.mult);
+      }
+      // The store is frozen during evaluation, so which batch-touched
+      // tuples are absent from it (the synthetic-candidate pool) is
+      // computed once per rule, not per probe.
+      for (const BatchOverlay::Entry& e : suffix_overlay_.slab) {
+        if (table.CountOf(*e.fields) == 0) {
+          suffix_overlay_.absent.push_back(e.fields);
+        }
+      }
+    }
+    const BatchOverlay* suffix = self_join ? &suffix_overlay_ : &no_overlay_;
+    for (const TableAction& a : actions) {
+      for (size_t t = first; t < last && !overflowed_; ++t) {
+        EvalRuleWithDelta(triggers[t].rule_idx, triggers[t].delta_term, a,
+                          suffix);
+      }
+      if (overflowed_) break;
+      if (self_join) {
+        suffix_overlay_.Add(a.fields, a.is_delete ? a.mult : -a.mult);
+      }
+    }
+    first = last;
+  }
+}
+
+void Engine::ProcessEventBatch(const PredSlot& slot,
                                std::vector<Delta>* deltas) {
   // Events fire triggers and register VIDs but are never stored; retraction
   // deltas are dropped. Event predicates cannot appear as non-delta body
-  // atoms, so evaluation runs under an empty overlay.
+  // atoms, so evaluation runs under the empty overlay.
   batch_actions_.Reset();
   const ActionBuffer& actions = batch_actions_;
   for (Delta& d : *deltas) {
     if (d.is_delete) continue;
-    RegisterVid(name, d.fields);
+    RegisterVid(*slot.name, d.fields);
     TableAction& a = batch_actions_.Append();
     a.fields = d.fields;  // copy into the slot's recycled buffer
     a.mult = d.mult;
@@ -344,16 +408,14 @@ void Engine::ProcessEventBatch(const std::string& name,
   stats_.actions_processed += actions.size();
   if (actions_this_trigger_ > opts_.max_actions_per_trigger) {
     overflowed_ = true;
-    last_error_ = "max_actions_per_trigger exceeded on " + name;
+    last_error_ = "max_actions_per_trigger exceeded on " + *slot.name;
     return;
   }
 
-  auto trig = prog_->triggers.find(name);
-  if (trig != prog_->triggers.end()) {
-    suffix_overlay_.Clear();
-    for (const auto& [rule_idx, term_idx] : trig->second) {
+  if (slot.triggers != nullptr) {
+    for (const TriggerEntry& t : *slot.triggers) {
       for (const TableAction& a : actions) {
-        EvalRuleWithDelta(rule_idx, term_idx, a, &suffix_overlay_);
+        EvalRuleWithDelta(t.rule_idx, t.delta_term, a, &no_overlay_);
         if (overflowed_) break;
       }
       if (overflowed_) break;
@@ -363,47 +425,44 @@ void Engine::ProcessEventBatch(const std::string& name,
   FlushOutbox();
 }
 
-void Engine::ScheduleExpiry(const std::string& name, const ValueList& key,
-                            uint64_t gen, net::Time deadline) {
+void Engine::ScheduleExpiry(PredId pred, const ValueList& key, uint64_t gen,
+                            net::Time deadline) {
   const uint64_t epoch = restart_epoch_;
-  sim_->ScheduleAt(deadline, [this, name, key, gen, epoch]() {
+  sim_->ScheduleAt(deadline, [this, pred, key, gen, epoch]() {
     if (restart_epoch_ != epoch) return;  // armed before a crash/restore
-    auto git = soft_gen_.find({name, key});
+    auto git = soft_gen_.find({pred, key});
     if (git == soft_gen_.end() || git->second.gen != gen) return;
-    const Table* t = GetTable(name);
-    if (t == nullptr) return;
-    const Table::Row* row = t->FindByKey(key);
+    const Table::Row* row = preds_[pred].table->FindByKey(key);
     if (row == nullptr) return;
     ++stats_.expirations;
-    EnqueueLocal({name, CopyToPooled(row->fields), row->count,
+    EnqueueLocal({pred, CopyToPooled(row->fields), row->count,
                   /*is_delete=*/true});
     DrainQueue();
   });
 }
 
-void Engine::HandleSoftState(const Table& table, const TableAction& action) {
+void Engine::HandleSoftState(PredId pred, const Table& table,
+                             const TableAction& action) {
   const ndlog::TableInfo& info = table.info();
-  if (info.lifetime_secs < 0 && info.max_size < 0) return;
-  const std::string& name = table.name();
   ValueList key = table.KeyOf(action.fields);
-  SoftMeta& meta = soft_gen_[{name, key}];
+  SoftMeta& meta = soft_gen_[{pred, key}];
   uint64_t gen = ++meta.gen;
 
   if (info.lifetime_secs >= 0) {
     meta.deadline =
         sim_->now() + static_cast<net::Time>(info.lifetime_secs) * net::kSecond;
-    ScheduleExpiry(name, key, gen, meta.deadline);
+    ScheduleExpiry(pred, key, gen, meta.deadline);
   }
 
   if (info.max_size >= 0) {
-    std::deque<std::pair<ValueList, uint64_t>>& order = fifo_[name];
+    std::deque<std::pair<ValueList, uint64_t>>& order = fifo_[pred];
     order.push_back({key, gen});
-    int64_t& pending = pending_evictions_[name];
+    int64_t& pending = pending_evictions_[pred];
     while (static_cast<int64_t>(table.size()) - pending > info.max_size &&
            !order.empty()) {
       auto [victim_key, victim_gen] = order.front();
       order.pop_front();
-      auto git = soft_gen_.find({name, victim_key});
+      auto git = soft_gen_.find({pred, victim_key});
       if (git == soft_gen_.end() || git->second.gen != victim_gen) {
         continue;  // refreshed or replaced since: a newer entry exists
       }
@@ -411,7 +470,7 @@ void Engine::HandleSoftState(const Table& table, const TableAction& action) {
       if (row == nullptr) continue;
       ++stats_.evictions;
       ++pending;
-      Delta evict{name, CopyToPooled(row->fields), row->count,
+      Delta evict{pred, CopyToPooled(row->fields), row->count,
                   /*is_delete=*/true};
       evict.is_eviction = true;
       EnqueueLocal(std::move(evict));
@@ -454,13 +513,8 @@ void Engine::EvalRuleWithDelta(size_t rule_idx, size_t delta_term,
   // cleared every binding the previous evaluation logged).
   undo_stack_.clear();
   if (!MatchAtom(delta_atom, action.fields, &frame_, &undo_stack_)) return;
-  const std::vector<AtomProbePlan>* plans = nullptr;
-  if (opts_.use_secondary_indexes) {
-    auto pit = cr.join_plans.find(delta_term);
-    if (pit != cr.join_plans.end()) plans = &pit->second;
-  }
-  JoinRec(cr, rule_idx, 0, delta_term, plans, action, suffix, &frame_,
-          action.mult);
+  JoinRec(cr, rule_idx, 0, delta_term, &cr.join_plans.at(delta_term), action,
+          suffix, &frame_, action.mult);
 }
 
 void Engine::JoinRec(const CompiledRule& cr, size_t rule_idx, size_t term_idx,
@@ -483,13 +537,10 @@ void Engine::JoinRec(const CompiledRule& cr, size_t rule_idx, size_t term_idx,
     const Table* tptr = term_tables_[rule_idx][term_idx];
     if (tptr == nullptr) return;  // event atom: only ever the delta
     const Table& table = *tptr;
+    const AtomProbePlan& plan = (*plans)[term_idx];
     const AtomProbePlan* probe =
-        plans != nullptr ? &(*plans)[term_idx] : nullptr;
-    const bool same_pred =
-        probe != nullptr
-            ? probe->same_pred_as_delta
-            : std::get<Atom>(cr.rule.body[term_idx]).predicate ==
-                  std::get<Atom>(cr.rule.body[delta_term]).predicate;
+        opts_.use_secondary_indexes ? &plan : nullptr;
+    const bool same_pred = plan.same_pred_as_delta;
     const bool before_delta = term_idx < delta_term;
 
     // Semi-naive visibility for self-join atoms: the store is post-batch,
@@ -633,8 +684,7 @@ void Engine::EmitHead(const CompiledRule& cr, size_t rule_idx,
   ++stats_.rule_firings;
   NodeId dst = (*fields)[0].as_address();
   if (dst == id_) {
-    EnqueueLocal({cr.rule.head.predicate, std::move(fields).value(), mult,
-                  is_delete});
+    EnqueueLocal({cr.head_pred, std::move(fields).value(), mult, is_delete});
     return;
   }
   ShipRemote(dst, Tuple(cr.rule.head.predicate, std::move(fields).value()),
@@ -770,7 +820,7 @@ void Engine::RecomputeAggGroup(const CompiledRule& cr,
   // Desired provenance tuples for the (new) output, built in scratch whose
   // tuple field buffers come from the list pool (and return to it when the
   // state's previous provenance is retired below).
-  std::vector<Tuple>& desired_prov = agg_prov_scratch_;
+  std::vector<AggProvRow>& desired_prov = agg_prov_scratch_;
   desired_prov.clear();
   ValueList new_fields = AcquireList();
   if (output) {
@@ -782,50 +832,43 @@ void Engine::RecomputeAggGroup(const CompiledRule& cr,
       state.group.Winners(cr.agg_fn, &winners_scratch_);
       for (const AggGroup::ContribKey& win : winners_scratch_) {
         if (!win.vids.is_list()) continue;
-        winner_vids_scratch_.clear();
-        for (const Value& v : win.vids.as_list()) {
-          winner_vids_scratch_.push_back(ValueToVid(v));
-        }
-        Vid rid = RuleExecRid(cr.rule.name, id_, winner_vids_scratch_);
+        Vid rid = RuleExecRid(cr.rule.name, id_, win.vids.as_list());
         ValueList rx = AcquireList();
         rx.push_back(Value::Address(id_));
         rx.push_back(VidToValue(rid));
         rx.push_back(Value::Str(cr.rule.name));
         rx.push_back(win.vids);
-        desired_prov.emplace_back(provenance::kRuleExecTable, std::move(rx));
+        desired_prov.push_back({rule_exec_pred_, std::move(rx)});
         ValueList pv = AcquireList();
         pv.push_back(Value::Address(id_));
         pv.push_back(VidToValue(head_vid));
         pv.push_back(VidToValue(rid));
         pv.push_back(Value::Address(id_));
         pv.push_back(Value::Int(0));
-        desired_prov.emplace_back(provenance::kProvTable, std::move(pv));
+        desired_prov.push_back({prov_pred_, std::move(pv)});
       }
     }
   }
 
   // Retract stale provenance, emit fresh provenance (set difference).
-  auto contains = [](const std::vector<Tuple>& xs, const Tuple& t) {
-    for (const Tuple& x : xs) {
-      if (x == t) return true;
-    }
-    return false;
+  auto contains = [](const std::vector<AggProvRow>& xs, const AggProvRow& r) {
+    return std::find(xs.begin(), xs.end(), r) != xs.end();
   };
-  for (const Tuple& old : state.last_prov) {
+  for (const AggProvRow& old : state.last_prov) {
     if (!contains(desired_prov, old)) {
-      EnqueueLocal({old.name(), CopyToPooled(old.fields()), 1,
+      EnqueueLocal({old.pred, CopyToPooled(old.fields), 1,
                     /*is_delete=*/true});
     }
   }
-  for (const Tuple& fresh : desired_prov) {
+  for (const AggProvRow& fresh : desired_prov) {
     if (!contains(state.last_prov, fresh)) {
-      EnqueueLocal({fresh.name(), CopyToPooled(fresh.fields()), 1,
+      EnqueueLocal({fresh.pred, CopyToPooled(fresh.fields), 1,
                     /*is_delete=*/false});
     }
   }
   // Retire the old provenance set: recycle its field buffers, then swap the
-  // vectors so both the tuple storage and the scratch capacity cycle.
-  for (Tuple& t : state.last_prov) ReleaseList(std::move(t.mutable_fields()));
+  // vectors so both the row storage and the scratch capacity cycle.
+  for (AggProvRow& r : state.last_prov) ReleaseList(std::move(r.fields));
   state.last_prov.swap(desired_prov);
   desired_prov.clear();
 
@@ -833,7 +876,7 @@ void Engine::RecomputeAggGroup(const CompiledRule& cr,
   if (!output) {
     ReleaseList(std::move(new_fields));
     if (state.has_output) {
-      EnqueueLocal({cr.rule.head.predicate, CopyToPooled(state.last_output), 1,
+      EnqueueLocal({cr.head_pred, CopyToPooled(state.last_output), 1,
                     /*is_delete=*/true});
       state.has_output = false;
       state.last_output.clear();
@@ -844,7 +887,7 @@ void Engine::RecomputeAggGroup(const CompiledRule& cr,
     ReleaseList(std::move(new_fields));
     return;
   }
-  EnqueueLocal({cr.rule.head.predicate, CopyToPooled(new_fields), 1,
+  EnqueueLocal({cr.head_pred, CopyToPooled(new_fields), 1,
                 /*is_delete=*/false});
   state.has_output = true;
   // Swap so the displaced last_output buffer goes back to the pool instead
@@ -909,12 +952,15 @@ EngineCheckpoint Engine::TakeCheckpoint() const {
     }
   }
   for (const auto& [key, meta] : soft_gen_) {
-    ckpt.soft.push_back({key.first, key.second, meta.gen, meta.deadline});
+    ckpt.soft.push_back(
+        {*preds_[key.first].name, key.second, meta.gen, meta.deadline});
   }
-  for (const auto& [name, order] : fifo_) {
-    ckpt.fifo[name].assign(order.begin(), order.end());
+  for (const auto& [pred, order] : fifo_) {
+    ckpt.fifo[*preds_[pred].name].assign(order.begin(), order.end());
   }
-  ckpt.pending_evictions = pending_evictions_;
+  for (const auto& [pred, pending] : pending_evictions_) {
+    ckpt.pending_evictions[*preds_[pred].name] = pending;
+  }
   // agg_state_ is a hash map (never iterated on evaluation paths); sort the
   // serialized entries so equal states checkpoint identically.
   std::vector<std::pair<AggGroup::ContribKey, int64_t>> live;
@@ -929,7 +975,9 @@ EngineCheckpoint Engine::TakeCheckpoint() const {
     }
     e.has_output = state.has_output;
     e.last_output = state.last_output;
-    e.last_prov = state.last_prov;
+    for (const AggProvRow& r : state.last_prov) {
+      e.last_prov.emplace_back(*preds_[r.pred].name, r.fields);
+    }
     ckpt.aggregates.push_back(std::move(e));
   }
   std::sort(ckpt.aggregates.begin(), ckpt.aggregates.end(),
@@ -994,12 +1042,15 @@ void Engine::RestoreCheckpoint(const EngineCheckpoint& ckpt) {
 
   soft_gen_.clear();
   fifo_.clear();
-  pending_evictions_ = ckpt.pending_evictions;
+  pending_evictions_.clear();
+  for (const auto& [name, pending] : ckpt.pending_evictions) {
+    pending_evictions_[PredIdOf(name)] = pending;
+  }
   for (const EngineCheckpoint::SoftEntry& e : ckpt.soft) {
-    soft_gen_[{e.table, e.key}] = SoftMeta{e.gen, e.deadline};
+    soft_gen_[{PredIdOf(e.table), e.key}] = SoftMeta{e.gen, e.deadline};
   }
   for (const auto& [name, order] : ckpt.fifo) {
-    fifo_[name].assign(order.begin(), order.end());
+    fifo_[PredIdOf(name)].assign(order.begin(), order.end());
   }
   // Re-arm expiry timers at their absolute deadlines. ScheduleAt clamps
   // past times to now, so an entry whose lifetime elapsed while the node
@@ -1007,9 +1058,10 @@ void Engine::RestoreCheckpoint(const EngineCheckpoint& ckpt) {
   // original deadline, then schedule order) is preserved.
   for (const EngineCheckpoint::SoftEntry& e : ckpt.soft) {
     if (e.deadline == 0) continue;
-    const Table* t = GetTable(e.table);
+    const PredId pred = PredIdOf(e.table);
+    const Table* t = preds_[pred].table;
     if (t == nullptr || t->info().lifetime_secs < 0) continue;
-    ScheduleExpiry(e.table, e.key, e.gen, e.deadline);
+    ScheduleExpiry(pred, e.key, e.gen, e.deadline);
   }
 
   agg_state_.clear();
@@ -1020,7 +1072,9 @@ void Engine::RestoreCheckpoint(const EngineCheckpoint& ckpt) {
     }
     state.has_output = e.has_output;
     state.last_output = e.last_output;
-    state.last_prov = e.last_prov;
+    for (const Tuple& t : e.last_prov) {
+      state.last_prov.push_back({PredIdOf(t.name()), t.fields()});
+    }
     agg_state_.emplace(std::make_pair(e.rule_idx, e.group), std::move(state));
   }
 
@@ -1087,11 +1141,11 @@ void Engine::ScrubGroundedRows(bool any_remote, NodeId origin,
     // retract the remote-grounded share of the target tuple (its local
     // derivations, if any, stay) — this cascades through the node's own
     // rules, retracting downstream derivations.
-    EnqueueLocal({provenance::kProvTable, std::move(v.prov_fields),
-                  v.prov_count, /*is_delete=*/true});
+    EnqueueLocal({prov_pred_, std::move(v.prov_fields), v.prov_count,
+                  /*is_delete=*/true});
     if (!v.target_name.empty()) {
-      EnqueueLocal({v.target_name, std::move(v.target_fields), v.prov_count,
-                    /*is_delete=*/true});
+      EnqueueLocal({PredIdOf(v.target_name), std::move(v.target_fields),
+                    v.prov_count, /*is_delete=*/true});
     }
   }
   DrainQueue();

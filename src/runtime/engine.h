@@ -41,14 +41,16 @@ struct EngineOptions {
   /// (bench_join) — results are identical either way.
   bool use_secondary_indexes = true;
   /// Maximum tuples drained from the local queue into one DeltaBatch (a run
-  /// of consecutive same-table deltas processed together: one trigger
+  /// of consecutive same-predicate deltas processed together: one trigger
   /// dispatch, one Table::ApplyBatch, one aggregate recomputation per
   /// touched group, and per-destination batch message frames). 1 makes
   /// every delta its own batch — the serial anchor of the batch
   /// equivalence suite (tests/runtime/batch_equivalence_test.cc); 0 is
   /// treated as 1. Every setting converges to identical table fixpoints,
   /// aggregate values, and provenance graphs. Soft-state tables always
-  /// drain in batches of one.
+  /// drain in batches of one. Only self-join triggers pay a per-batch
+  /// overlay cost that grows with the batch; every other trigger evaluates
+  /// each action directly.
   uint32_t batch_size = 64;
 };
 
@@ -252,12 +254,30 @@ class Engine {
   void DropDerivationsFrom(NodeId origin);
 
  private:
+  /// One queued tuple delta. The predicate travels as its dense id (names
+  /// are resolved once, where tuples enter the engine), so forming a batch
+  /// compares integers and indexes preds_.
   struct Delta {
-    std::string table;
+    PredId pred = 0;
     ValueList fields;
     int64_t mult = 1;
     bool is_delete = false;
     bool is_eviction = false;  // decrement the pending-eviction counter
+  };
+
+  /// What the drain path needs to know about one predicate, indexed by
+  /// PredId: resolved in InitTables for the program's predicates, and
+  /// appended by PredIdOf for names the program never mentions (those
+  /// drain as triggerless event batches).
+  struct PredSlot {
+    const std::string* name = nullptr;
+    Table* table = nullptr;  // nullptr: an event
+    const std::vector<TriggerEntry>* triggers = nullptr;  // nullptr: none
+    bool soft_state = false;  // finite lifetime or max size
+    /// Register VIDs of applied inserts: false only for the provenance
+    /// rewrite's own views (eh_* / prov / ruleExec), which are never
+    /// provenance vertices.
+    bool track_vids = true;
   };
 
   /// Net per-tuple count adjustments carried by a suffix of a batch's
@@ -267,6 +287,11 @@ class Engine {
   /// exactly the store before action i applied. Entries are kept at
   /// net 0 so every tuple the batch touches stays enumerable (the
   /// synthetic-candidate sweep in JoinRec relies on it).
+  ///
+  /// JoinRec reads the overlay only for body atoms on the delta's own
+  /// predicate, so ProcessBatch fills it only for self-join triggers
+  /// (TriggerEntry::self_join); every other trigger, and every event batch,
+  /// evaluates under the permanently empty no_overlay_.
   ///
   /// Storage is a slab (first-touch order — the old `order` vector) plus a
   /// flat content-hash index with explicit collision chains; entries hold
@@ -316,6 +341,13 @@ class Engine {
 
   void OnTupleMessage(net::Message& msg);
   void EnqueueLocal(Delta delta);
+  /// Dense id of `name`, registering a name the program never mentions as
+  /// a triggerless event. Called only where tuples enter the engine
+  /// (Insert/Delete/InsertEvent, tuple messages, timers and scrubs).
+  PredId PredIdOf(const std::string& name);
+  /// The slot for `name`, which must outlive the engine's slots (a program
+  /// predicate or a key of unknown_preds_).
+  PredSlot SlotFor(const std::string& name);
 
   /// ValueList recycling pool for the delta pipeline. Field buffers flow
   /// emit -> queue -> batch -> harvest-back-to-pool, so a converged flap's
@@ -342,21 +374,29 @@ class Engine {
   /// outbound deltas ship only when `ship_retractions`.
   void ScrubGroundedRows(bool any_remote, NodeId origin,
                          bool ship_retractions);
-  /// The delta pipeline: drains a run of consecutive same-table deltas
+  /// The delta pipeline: drains a run of consecutive same-predicate deltas
   /// from the queue front (at most batch_size; one for soft-state tables)
   /// and processes them as one DeltaBatch (one-pass ApplyBatch, rule-major
-  /// evaluation under suffix overlays, one aggregate recomputation per
-  /// touched group, per-destination batch shipping).
+  /// evaluation — under suffix overlays for self-join triggers — one
+  /// aggregate recomputation per touched group, per-destination batch
+  /// shipping).
   void ProcessBatch();
-  void ProcessEventBatch(const std::string& name, std::vector<Delta>* deltas);
+  void ProcessEventBatch(const PredSlot& slot, std::vector<Delta>* deltas);
+  /// Evaluates every trigger on `table` over the batch's applied `actions`
+  /// (the store already holds their effect).
+  void EvalTriggers(const std::vector<TriggerEntry>& triggers,
+                    const Table& table, const ActionBuffer& actions);
   /// Joins the rule body around the delta atom; `action` is the visible
   /// change that seeded the evaluation. `suffix` is the batch overlay for
-  /// this action (never null; empty for event deltas).
+  /// this action: never null, and empty unless the trigger is a self-join.
   void EvalRuleWithDelta(size_t rule_idx, size_t delta_term,
                          const TableAction& action,
                          const BatchOverlay* suffix);
   /// `plans` is the per-body-term probe plan for this (rule, delta_term)
-  /// choice, or nullptr to scan every atom.
+  /// choice; its indexes are probed only when use_secondary_indexes.
+  /// `suffix` is the batch overlay, read only for atoms on the delta's own
+  /// predicate (same_pred_as_delta) — so empty unless the trigger is a
+  /// self-join.
   void JoinRec(const CompiledRule& cr, size_t rule_idx, size_t term_idx,
                size_t delta_term, const std::vector<AtomProbePlan>* plans,
                const TableAction& action, const BatchOverlay* suffix,
@@ -390,19 +430,21 @@ class Engine {
   /// hashes.
   void RegisterVid(const std::string& name, const ValueList& fields);
   void NoteEvalError(const Status& status);
-  /// Soft-state bookkeeping after a visible insert: refresh the expiry
-  /// timer and enforce FIFO max-size eviction.
-  void HandleSoftState(const Table& table, const TableAction& action);
+  /// Soft-state bookkeeping after a visible insert into `pred`'s table:
+  /// refresh the expiry timer and enforce FIFO max-size eviction.
+  void HandleSoftState(PredId pred, const Table& table,
+                       const TableAction& action);
   /// Arms one epoch-guarded expiry timer at the absolute `deadline`.
-  void ScheduleExpiry(const std::string& name, const ValueList& key,
-                      uint64_t gen, net::Time deadline);
+  void ScheduleExpiry(PredId pred, const ValueList& key, uint64_t gen,
+                      net::Time deadline);
   /// Schedules the program's periodic(@X,E,T,C) timer streams.
   void SchedulePeriodics();
   void FirePeriodic(PeriodicStream stream, int64_t iteration);
   /// (Re)builds tables_ from the program — storage, planner-selected
-  /// indexes, and the join loop's per-term table resolution. Shared by the
-  /// constructor and RestoreCheckpoint (which must rebuild term_tables_
-  /// too: it holds raw pointers into tables_).
+  /// indexes, the join loop's per-term table resolution, and the
+  /// per-predicate slots. Shared by the constructor and RestoreCheckpoint
+  /// (which must rebuild term_tables_ and preds_ too: both hold raw
+  /// pointers into tables_).
   void InitTables();
 
   net::Simulator* sim_;
@@ -420,6 +462,15 @@ class Engine {
   /// does a string-keyed map lookup. Pointers into tables_ are stable
   /// (node-based map, populated before this).
   std::vector<std::vector<const Table*>> term_tables_;
+  /// PredId -> slot: the program's predicates first, then names first seen
+  /// at an entry point (keys of unknown_preds_, whose node-based storage
+  /// keeps the slots' name pointers stable).
+  std::vector<PredSlot> preds_;
+  std::unordered_map<std::string, PredId> unknown_preds_;
+  /// Ids of the provenance tables aggregate recomputation emits into
+  /// (meaningful only when the program was compiled with provenance).
+  PredId rule_exec_pred_ = 0;
+  PredId prov_pred_ = 0;
   /// Scratch evaluation frame, reset per EvalRuleWithDelta. Safe as a
   /// member because rule evaluation never nests: derived heads are
   /// enqueued, not evaluated inline, and drains do not re-enter.
@@ -435,12 +486,21 @@ class Engine {
   std::unordered_map<Vid, Tuple> vid_index_;
   provenance::VidInterner vid_interner_;
 
+  /// One provenance row an aggregate group emitted (a prov or ruleExec
+  /// tuple), kept by id so retracting it needs no name lookup.
+  struct AggProvRow {
+    PredId pred = 0;
+    ValueList fields;
+    bool operator==(const AggProvRow& o) const {
+      return pred == o.pred && fields == o.fields;
+    }
+  };
   struct AggGroupState {
     AggGroup group;
     bool dirty = false;  // already on dirty_aggs_ for the current batch
     bool has_output = false;
     ValueList last_output;
-    std::vector<Tuple> last_prov;  // emitted prov + ruleExec tuples
+    std::vector<AggProvRow> last_prov;  // emitted prov + ruleExec rows
   };
   /// Hash/equality over (rule index, group key). Group-key hashing reuses
   /// the digests cached in shared list reps. Both agg containers are pure
@@ -487,32 +547,34 @@ class Engine {
   // drain allocates nothing): the current batch's deltas / table requests /
   // applied actions, the shared frame-undo stack for MatchAtom (callers
   // restore to their saved mark — safe across JoinRec recursion), the
-  // secondary-index probe key, the per-rule-pass suffix overlay, and the
-  // aggregate lookup key (find-before-emplace keeps the hit path free of
-  // pair<rule, group> copies).
+  // secondary-index probe key, the self-join triggers' suffix overlay (and
+  // the empty one every other trigger gets), and the aggregate lookup key
+  // (find-before-emplace keeps the hit path free of pair<rule, group>
+  // copies).
   std::vector<Delta> batch_deltas_;
   std::vector<DeltaRequest> batch_reqs_;
   ActionBuffer batch_actions_;
   std::vector<int> undo_stack_;
   ValueList probe_key_;
   BatchOverlay suffix_overlay_;
+  const BatchOverlay no_overlay_{};
   std::pair<size_t, ValueList> agg_key_scratch_;
   ValueList agg_vid_scratch_;
-  /// Recompute scratch: winners, their raw VIDs, and the desired-provenance
-  /// build buffer (swapped against each state's last_prov, so tuple storage
-  /// cycles instead of being reallocated per recomputation).
+  /// Recompute scratch: winners and the desired-provenance build buffer
+  /// (swapped against each state's last_prov, so row storage cycles
+  /// instead of being reallocated per recomputation).
   std::vector<AggGroup::ContribKey> winners_scratch_;
-  std::vector<Vid> winner_vids_scratch_;
-  std::vector<Tuple> agg_prov_scratch_;
+  std::vector<AggProvRow> agg_prov_scratch_;
   std::vector<ValueList> list_pool_;
 
   // Soft state: per-key insertion generation (a re-insertion refreshes the
   // expiry timer and invalidates stale timers), the absolute expiry
   // deadline (recorded so checkpoints can re-arm timers), and FIFO
-  // insertion order.
+  // insertion order. Keyed by PredId: ids follow name order, so iteration
+  // (and hence checkpoint and timer re-arm order) is name order.
   struct TableKeyLess {
-    bool operator()(const std::pair<std::string, ValueList>& a,
-                    const std::pair<std::string, ValueList>& b) const {
+    bool operator()(const std::pair<PredId, ValueList>& a,
+                    const std::pair<PredId, ValueList>& b) const {
       if (a.first != b.first) return a.first < b.first;
       return ValueListLess{}(a.second, b.second);
     }
@@ -521,10 +583,9 @@ class Engine {
     uint64_t gen = 0;
     net::Time deadline = 0;  // 0 when the table has no lifetime
   };
-  std::map<std::pair<std::string, ValueList>, SoftMeta, TableKeyLess>
-      soft_gen_;
-  std::map<std::string, std::deque<std::pair<ValueList, uint64_t>>> fifo_;
-  std::map<std::string, int64_t> pending_evictions_;
+  std::map<std::pair<PredId, ValueList>, SoftMeta, TableKeyLess> soft_gen_;
+  std::map<PredId, std::deque<std::pair<ValueList, uint64_t>>> fifo_;
+  std::map<PredId, int64_t> pending_evictions_;
 
   /// Bumped by HaltForCrash/RestoreCheckpoint; timer closures capture the
   /// epoch they were armed in and no-op if it has moved on, so a restored

@@ -99,8 +99,9 @@ void CollectAtomVars(const Atom& atom, std::set<std::string>* out) {
 /// secondary index in `table_indexes`. Mirrors Engine::JoinRec exactly:
 /// bindings start from the delta atom, then body terms are processed in
 /// order (skipping the delta), assignments binding their target and each
-/// probed atom binding its variables.
-void PlanJoinIndexes(
+/// probed atom binding its variables. Returns whether another body atom is
+/// on the delta's predicate (a self-join).
+bool PlanJoinIndexes(
     CompiledRule* cr, size_t delta_term,
     const std::map<std::string, ndlog::TableInfo>& tables,
     std::map<std::string, std::vector<std::vector<int>>>* table_indexes) {
@@ -109,6 +110,7 @@ void PlanJoinIndexes(
 
   std::set<std::string> bound;
   CollectAtomVars(std::get<Atom>(rule.body[delta_term]), &bound);
+  bool self_join = false;
 
   for (size_t i = 0; i < rule.body.size(); ++i) {
     if (i == delta_term) continue;
@@ -121,6 +123,7 @@ void PlanJoinIndexes(
     if (atom == nullptr) continue;  // selection: binds nothing
     plans[i].same_pred_as_delta =
         atom->predicate == std::get<Atom>(rule.body[delta_term]).predicate;
+    self_join |= plans[i].same_pred_as_delta;
     auto tit = tables.find(atom->predicate);
     if (tit != tables.end() && tit->second.materialized) {
       bool location_bound = false;
@@ -152,6 +155,7 @@ void PlanJoinIndexes(
     CollectAtomVars(*atom, &bound);
   }
   cr->join_plans.emplace(delta_term, std::move(plans));
+  return self_join;
 }
 
 }  // namespace
@@ -200,6 +204,7 @@ Result<CompiledProgramPtr> Compile(const std::string& source,
 
   auto prog = std::make_shared<CompiledProgram>();
   prog->tables = analyzed.tables;
+  for (const auto& [name, info] : prog->tables) prog->predicates.push_back(name);
   prog->provenance = options.provenance;
 
   // Periodic timer streams: periodic(@X, E, Period, Count) body atoms.
@@ -247,6 +252,8 @@ Result<CompiledProgramPtr> Compile(const std::string& source,
 
     const ndlog::TableInfo* head_info =
         analyzed.FindTable(cr.rule.head.predicate);
+    cr.head_pred =
+        static_cast<PredId>(prog->PredicateId(cr.rule.head.predicate));
     cr.head_is_event = head_info == nullptr || !head_info->materialized;
 
     for (size_t i = 0; i < cr.rule.head.args.size(); ++i) {
@@ -304,21 +311,21 @@ Result<CompiledProgramPtr> Compile(const std::string& source,
     }
     if (event_pos != SIZE_MAX) {
       const Atom& atom = std::get<Atom>(cr.rule.body[event_pos]);
-      prog->triggers[atom.predicate].emplace_back(r, event_pos);
+      prog->triggers[atom.predicate].push_back({r, event_pos});
       continue;
     }
     for (size_t pos : cr.atom_positions) {
       const Atom& atom = std::get<Atom>(cr.rule.body[pos]);
-      prog->triggers[atom.predicate].emplace_back(r, pos);
+      prog->triggers[atom.predicate].push_back({r, pos});
     }
   }
 
   // Index selection: one probe plan per trigger entry, one secondary index
   // per distinct (table, bound-position-set) across the whole program.
-  for (const auto& [pred, entries] : prog->triggers) {
-    for (const auto& [rule_idx, delta_term] : entries) {
-      PlanJoinIndexes(&prog->rules[rule_idx], delta_term, prog->tables,
-                      &prog->table_indexes);
+  for (auto& [pred, entries] : prog->triggers) {
+    for (TriggerEntry& t : entries) {
+      t.self_join = PlanJoinIndexes(&prog->rules[t.rule_idx], t.delta_term,
+                                    prog->tables, &prog->table_indexes);
     }
   }
 

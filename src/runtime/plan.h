@@ -4,6 +4,8 @@
 #ifndef NETTRAILS_RUNTIME_PLAN_H_
 #define NETTRAILS_RUNTIME_PLAN_H_
 
+#include <algorithm>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -60,10 +62,24 @@ struct AtomProbePlan {
   /// neighbors"), as opposed to an unplanned scan fallback.
   bool broadcast = false;
   /// This atom's predicate equals the delta atom's predicate (a self-join).
-  /// The engine's semi-naive visibility adjustments — and, in batched mode,
-  /// the per-batch overlay — apply only to such atoms; precomputing the
+  /// The engine's semi-naive visibility adjustments — subtracting the
+  /// batch's suffix overlay — apply only to such atoms; precomputing the
   /// flag removes a per-probe string comparison from the join loop.
   bool same_pred_as_delta = false;
+};
+
+/// Dense predicate id: an index into CompiledProgram::predicates.
+using PredId = uint32_t;
+
+/// One trigger-index entry: `delta_term` of rule `rule_idx` is the atom a
+/// delta on the indexed predicate binds.
+struct TriggerEntry {
+  size_t rule_idx = 0;
+  size_t delta_term = 0;
+  /// Another body atom of the rule is on the delta's predicate (some entry
+  /// of the rule's probe plan has same_pred_as_delta). Only such triggers
+  /// read the batch's suffix overlay, so the engine builds it only for them.
+  bool self_join = false;
 };
 
 /// Lowered atom argument: a frame slot (variable) or a constant. Body atom
@@ -105,6 +121,8 @@ struct CompiledRule {
   /// Lowered head-argument expressions, index-parallel to rule.head.args.
   /// The a_count<*> aggregate argument has no expression (entry invalid).
   std::vector<CompiledExpr> head_exprs;
+  /// Dense id of the head predicate.
+  PredId head_pred = 0;
   /// Head predicate is an event (not materialized).
   bool head_is_event = false;
   /// Aggregate rule bookkeeping.
@@ -142,9 +160,15 @@ struct CompiledProgram {
   /// program's provenance information" of the paper.
   ndlog::Program program;
   std::map<std::string, ndlog::TableInfo> tables;
+  /// Every predicate the program names (declared tables, events, rule heads
+  /// and body atoms: the keys of `tables`), in name order. A predicate's
+  /// dense id is its index here; engines key their delta queues by it.
+  std::vector<std::string> predicates;
   std::vector<CompiledRule> rules;
-  /// predicate -> [(rule index, body-term index of the triggering atom)].
-  std::map<std::string, std::vector<std::pair<size_t, size_t>>> triggers;
+  /// predicate -> trigger entries, one per body atom a delta on it binds,
+  /// in rule order and then body order (so a self-join rule's entries are
+  /// adjacent).
+  std::map<std::string, std::vector<TriggerEntry>> triggers;
   /// table -> distinct sorted bound-position sets required by the join
   /// plans; the vector index is the index id the engine registers with
   /// Table::AddIndex (in order).
@@ -156,6 +180,13 @@ struct CompiledProgram {
   const ndlog::TableInfo* FindTable(const std::string& name) const {
     auto it = tables.find(name);
     return it == tables.end() ? nullptr : &it->second;
+  }
+
+  /// Dense id of `name`, or -1 when the program never names it.
+  int PredicateId(const std::string& name) const {
+    auto it = std::lower_bound(predicates.begin(), predicates.end(), name);
+    if (it == predicates.end() || *it != name) return -1;
+    return static_cast<int>(it - predicates.begin());
   }
 
   /// Rendered program text (for tests, docs, and the demo display of the

@@ -6,11 +6,14 @@
 // output values: aggregate outputs are rows of mincost / bestcost), and
 // bit-identical distributed provenance graphs — under randomized seeded
 // churn: link flaps and failure bursts over the path-vector and MINCOST
-// protocols, and route announce/withdraw churn over the legacy-BGP maybe
-// program. CI runs this suite via `ctest -R equivalence` with the three
-// fixed seeds below.
+// protocols, route announce/withdraw churn over the legacy-BGP maybe
+// program, and event bursts into a self-join (the only shape whose
+// triggers read the batch's suffix overlay — no shipped protocol has one).
+// CI runs this suite via `ctest -R equivalence` with the three fixed seeds
+// below.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -41,6 +44,19 @@ const char* kBoundedMincost = R"(
     mc2 cost(@X,Z,C) :- link(@X,Y,C1), mincost(@Y,Z,C2), X != Z,
                         C := C1 + C2, C < 24.
     mc3 mincost(@X,Z,a_min<C>) :- cost(@X,Z,C).
+)";
+
+/// Self-join bursts: each flood event derives one item2 row per item
+/// through f1 and then a replacement for each through f2 (item2 is keyed
+/// on (X,K)), so one run of item2 deltas inserts rows and retracts them
+/// again, and p1 joins item2 with itself.
+const char* kSelfJoinBursts = R"(
+    materialize(item, infinity, infinity, keys(1,2)).
+    materialize(item2, infinity, infinity, keys(1,2)).
+    materialize(pair, infinity, infinity, keys(1,2,3)).
+    f1 item2(@X,K,V) :- flood(@X,N), item(@X,K), V := N.
+    f2 item2(@X,K,V) :- flood(@X,N), item(@X,K), V := N + 1.
+    p1 pair(@X,A,B) :- item2(@X,A,V), item2(@X,B,W).
 )";
 
 struct WorldStats {
@@ -149,9 +165,9 @@ std::string RunLinkChurn(const char* program, uint64_t seed,
 /// inputRoute / outputRoute inserts (some output routes genuinely extending
 /// an input route, exercising the maybe join), key-replacement updates, and
 /// deletes of still-live tuples.
-std::string RunBgpChurn(uint64_t seed, uint32_t batch_size,
-                        WorldStats* out_stats) {
-  Result<CompiledProgramPtr> prog = Compile(protocols::BgpMaybeProgram());
+std::string RunBgpChurn(const char* program, uint64_t seed,
+                        uint32_t batch_size, WorldStats* out_stats) {
+  Result<CompiledProgramPtr> prog = Compile(program);
   EXPECT_TRUE(prog.ok()) << prog.status().ToString();
   if (!prog.ok()) return "";
 
@@ -208,9 +224,75 @@ std::string RunBgpChurn(uint64_t seed, uint32_t batch_size,
   return Fingerprint(engines, stores);
 }
 
+/// Seeded self-join bursts on one node: toggle a random item, then (most
+/// of the time) flood, which derives a run of item2 inserts and key
+/// replacements that p1 joins with itself. Item state depends on the
+/// schedule alone, so every batch_size replays the same inputs. Also
+/// checks that batching reached the self-join: one delta applies at most
+/// two actions (a key replacement's retraction and insert), so a wider
+/// item2 batch carried several deltas through the suffix overlay.
+std::string RunSelfJoinBursts(const char* program, uint64_t seed,
+                              uint32_t batch_size, WorldStats* out_stats) {
+  Result<CompiledProgramPtr> prog = Compile(program);
+  EXPECT_TRUE(prog.ok()) << prog.status().ToString();
+  if (!prog.ok()) return "";
+
+  Rng rng(seed);
+  net::Simulator sim;
+  sim.AddNode();
+  EngineOptions opts;
+  opts.batch_size = batch_size;
+  std::vector<std::unique_ptr<Engine>> engines;
+  engines.push_back(std::make_unique<Engine>(&sim, 0, *prog, opts));
+  Engine& engine = *engines[0];
+  std::vector<std::unique_ptr<provenance::ProvStore>> stores;
+  stores.push_back(std::make_unique<provenance::ProvStore>(&engine));
+  // Observers run once per applied action, in the batch epilogue, so calls
+  // that read the same batches_processed belong to one batch.
+  uint64_t widest = 0, batch = 0, batch_actions = 0;
+  engine.AddActionObserver([&](const std::string& table, const TableAction&) {
+    if (table != "item2") return;
+    if (engine.stats().batches_processed != batch) {
+      batch = engine.stats().batches_processed;
+      batch_actions = 0;
+    }
+    widest = std::max(widest, ++batch_actions);
+  });
+
+  for (int op = 0; op < 40; ++op) {
+    Tuple item("item", {Value::Address(0), Value::Int(rng.NextInRange(1, 6))});
+    if (engine.HasTuple(item)) {
+      EXPECT_TRUE(engine.Delete(item).ok());
+    } else {
+      EXPECT_TRUE(engine.Insert(item).ok());
+    }
+    if (rng.NextBool(0.7)) {
+      Tuple flood("flood",
+                  {Value::Address(0), Value::Int(rng.NextInRange(1, 4))});
+      EXPECT_TRUE(engine.InsertEvent(flood).ok());
+    }
+    sim.Run();
+  }
+  if (batch_size == 1) {
+    EXPECT_LE(widest, 2u);
+  } else {
+    EXPECT_GT(widest, 2u) << "batch_size=" << batch_size;
+  }
+
+  *out_stats = Collect(engines);
+  EXPECT_FALSE(out_stats->overflowed);
+  return Fingerprint(engines, stores);
+}
+
+/// A seeded churn driver: replays one schedule of `program` at
+/// `batch_size` and returns the final fingerprint.
+using Driver = std::string (*)(const char* program, uint64_t seed,
+                               uint32_t batch_size, WorldStats* out_stats);
+
 struct EqCase {
   const char* name;
-  const char* program;  // nullptr selects the BGP churn driver
+  Driver run;
+  const char* program;
   uint64_t seed;
 };
 
@@ -219,9 +301,7 @@ class BatchEquivalence : public ::testing::TestWithParam<EqCase> {};
 TEST_P(BatchEquivalence, BatchedFixpointMatchesSerial) {
   const EqCase& c = GetParam();
   auto run = [&](uint32_t batch_size, WorldStats* ws) {
-    return c.program == nullptr
-               ? RunBgpChurn(c.seed, batch_size, ws)
-               : RunLinkChurn(c.program, c.seed, batch_size, ws);
+    return c.run(c.program, c.seed, batch_size, ws);
   };
   WorldStats serial_ws, b8_ws, b64_ws;
   std::string serial = run(1, &serial_ws);
@@ -247,14 +327,21 @@ TEST_P(BatchEquivalence, BatchedFixpointMatchesSerial) {
 INSTANTIATE_TEST_SUITE_P(
     SeededChurn, BatchEquivalence,
     ::testing::Values(
-        EqCase{"mincost_s1", kBoundedMincost, 101},
-        EqCase{"mincost_s2", kBoundedMincost, 202},
-        EqCase{"mincost_s3", kBoundedMincost, 303},
-        EqCase{"pathvector_s1", protocols::PathVectorProgram(), 101},
-        EqCase{"pathvector_s2", protocols::PathVectorProgram(), 202},
-        EqCase{"pathvector_s3", protocols::PathVectorProgram(), 303},
-        EqCase{"bgp_s1", nullptr, 101}, EqCase{"bgp_s2", nullptr, 202},
-        EqCase{"bgp_s3", nullptr, 303}),
+        EqCase{"mincost_s1", RunLinkChurn, kBoundedMincost, 101},
+        EqCase{"mincost_s2", RunLinkChurn, kBoundedMincost, 202},
+        EqCase{"mincost_s3", RunLinkChurn, kBoundedMincost, 303},
+        EqCase{"pathvector_s1", RunLinkChurn, protocols::PathVectorProgram(),
+               101},
+        EqCase{"pathvector_s2", RunLinkChurn, protocols::PathVectorProgram(),
+               202},
+        EqCase{"pathvector_s3", RunLinkChurn, protocols::PathVectorProgram(),
+               303},
+        EqCase{"bgp_s1", RunBgpChurn, protocols::BgpMaybeProgram(), 101},
+        EqCase{"bgp_s2", RunBgpChurn, protocols::BgpMaybeProgram(), 202},
+        EqCase{"bgp_s3", RunBgpChurn, protocols::BgpMaybeProgram(), 303},
+        EqCase{"selfjoin_s1", RunSelfJoinBursts, kSelfJoinBursts, 101},
+        EqCase{"selfjoin_s2", RunSelfJoinBursts, kSelfJoinBursts, 202},
+        EqCase{"selfjoin_s3", RunSelfJoinBursts, kSelfJoinBursts, 303}),
     [](const ::testing::TestParamInfo<EqCase>& info) {
       return std::string(info.param.name);
     });

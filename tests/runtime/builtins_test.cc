@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <limits>
 
+#include "src/common/hash.h"
+
 namespace nettrails {
 namespace runtime {
 namespace {
@@ -180,7 +182,16 @@ TEST(BuiltinsTest, MkRidDeterministic) {
   Value r3 =
       *Call("f_mkrid", {Value::Str("mc2"), Value::Address(3), vids});
   EXPECT_NE(r1, r3);
-  EXPECT_EQ(ValueToVid(r1), RuleExecRid("mc1", 3, {1, 2}));
+  EXPECT_EQ(ValueToVid(r1), RuleExecRid("mc1", 3, vids.as_list()));
+  // The RID layout, spelled out: rule name, executing node, VID count, then
+  // each VID.
+  Hasher h;
+  h.AddString("mc1");
+  h.AddU64(3);
+  h.AddU64(2);
+  h.AddU64(1);
+  h.AddU64(2);
+  EXPECT_EQ(ValueToVid(r1), h.Digest());
   EXPECT_FALSE(Call("f_mkrid", {Value::Str("x"), Value::Int(1), vids}).ok());
 }
 

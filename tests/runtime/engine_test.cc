@@ -243,6 +243,47 @@ TEST(EngineTest, EventsFireRulesButAreNotStored) {
       engine.Insert(Tuple("ping", {Value::Address(0), Value::Int(1)})).ok());
 }
 
+TEST(EngineTest, UnnamedPredicatesDrainAsEventBatches) {
+  // A tuple whose predicate the receiving program never names — injected
+  // locally or shipped by a peer running another program — fires nothing
+  // and is stored nowhere, but its VID is registered like any event's.
+  CompiledProgramPtr sender_prog = MustCompile(R"(
+    materialize(neighbor, infinity, infinity, keys(1,2)).
+    r1 told(@Y,V) :- gossip(@X,V), neighbor(@X,Y).
+  )",
+                                               false);
+  CompiledProgramPtr receiver_prog = MustCompile(R"(
+    materialize(seen, infinity, infinity, keys(1,2)).
+    r1 seen(@X,V) :- ping(@X,V).
+  )",
+                                                 false);
+  net::Simulator sim;
+  sim.AddNode();
+  sim.AddNode();
+  sim.AddLink(0, 1);
+  Engine sender(&sim, 0, sender_prog);
+  Engine receiver(&sim, 1, receiver_prog);
+  ASSERT_TRUE(
+      sender.Insert(Tuple("neighbor", {Value::Address(0), Value::Address(1)}))
+          .ok());
+  ASSERT_TRUE(
+      sender.InsertEvent(Tuple("gossip", {Value::Address(0), Value::Int(5)}))
+          .ok());
+  Tuple stray("stray", {Value::Address(1), Value::Int(7)});
+  ASSERT_TRUE(receiver.InsertEvent(stray).ok());
+  sim.Run();
+  Tuple told("told", {Value::Address(1), Value::Int(5)});
+  ASSERT_NE(receiver.FindTupleByVid(told.Hash()), nullptr);
+  EXPECT_EQ(*receiver.FindTupleByVid(told.Hash()), told);
+  EXPECT_NE(receiver.FindTupleByVid(stray.Hash()), nullptr);
+  EXPECT_EQ(receiver.GetTable("told"), nullptr);
+  EXPECT_EQ(receiver.stats().rule_firings, 0u);
+  // Two distinct unnamed predicates never share a batch.
+  EXPECT_EQ(receiver.stats().batches_processed, 2u);
+  // A materialized-table API call on an unnamed predicate still fails.
+  EXPECT_FALSE(receiver.Insert(told).ok());
+}
+
 TEST(EngineTest, EventJoinsAgainstMaterializedState) {
   CompiledProgramPtr prog = MustCompile(R"(
     materialize(neighbor, infinity, infinity, keys(1,2)).

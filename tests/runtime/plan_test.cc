@@ -68,8 +68,8 @@ TEST(PlanTest, EventRulesTriggerOnlyOnTheEvent) {
   // triggered by link deltas.
   auto it = (*prog)->triggers.find("link");
   if (it != (*prog)->triggers.end()) {
-    for (const auto& [rule_idx, pos] : it->second) {
-      const CompiledRule& cr = (*prog)->rules[rule_idx];
+    for (const TriggerEntry& t : it->second) {
+      const CompiledRule& cr = (*prog)->rules[t.rule_idx];
       for (size_t p : cr.atom_positions) {
         const auto& atom = std::get<ndlog::Atom>(cr.rule.body[p]);
         EXPECT_NE(atom.predicate, "rreq")
@@ -78,6 +78,82 @@ TEST(PlanTest, EventRulesTriggerOnlyOnTheEvent) {
     }
   }
   EXPECT_GE((*prog)->triggers.at("rreq").size(), 2u);
+}
+
+TEST(PlanTest, SelfJoinFlagMarksOnlyTriggersJoiningTheirOwnPredicate) {
+  // No shipped protocol joins a predicate with itself, with or without the
+  // provenance rewrite, so no trigger of theirs needs the batch overlay.
+  for (const char* src :
+       {protocols::MincostProgram(), protocols::PathVectorProgram(),
+        protocols::LinkStateProgram(), protocols::DsrProgram(),
+        protocols::BgpMaybeProgram()}) {
+    for (bool prov : {false, true}) {
+      CompileOptions opts;
+      opts.provenance = prov;
+      Result<CompiledProgramPtr> prog = Compile(src, opts);
+      ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+      for (const auto& [pred, entries] : (*prog)->triggers) {
+        for (const TriggerEntry& t : entries) {
+          EXPECT_FALSE(t.self_join)
+              << pred << " -> " << (*prog)->rules[t.rule_idx].rule.name;
+        }
+      }
+    }
+  }
+  Result<CompiledProgramPtr> mincost = Compile(protocols::MincostProgram());
+  ASSERT_TRUE(mincost.ok()) << mincost.status().ToString();
+  size_t mincost_triggers = 0;
+  for (const auto& [pred, entries] : (*mincost)->triggers) {
+    mincost_triggers += entries.size();
+  }
+  EXPECT_EQ(mincost_triggers, 15u);
+
+  // Both triggers of a self-join rule carry the flag, with or without the
+  // rewrite (which moves the join into the rule's eh_ view and adds a
+  // single-atom base-tuple rule on item).
+  for (bool prov : {false, true}) {
+    CompileOptions opts;
+    opts.provenance = prov;
+    Result<CompiledProgramPtr> prog = Compile(R"(
+      materialize(item, infinity, infinity, keys(1,2)).
+      materialize(pair, infinity, infinity, keys(1,2,3)).
+      r1 pair(@X,A,B) :- item(@X,A), item(@X,B).
+    )",
+                                              opts);
+    ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+    size_t self_joins = 0;
+    for (const TriggerEntry& t : (*prog)->triggers.at("item")) {
+      const CompiledRule& cr = (*prog)->rules[t.rule_idx];
+      size_t item_atoms = 0;
+      for (size_t pos : cr.atom_positions) {
+        if (std::get<ndlog::Atom>(cr.rule.body[pos]).predicate == "item") {
+          ++item_atoms;
+        }
+      }
+      EXPECT_EQ(t.self_join, item_atoms == 2)
+          << cr.rule.name << " delta term " << t.delta_term;
+      if (t.self_join) ++self_joins;
+    }
+    EXPECT_EQ(self_joins, 2u) << "provenance=" << prov;
+  }
+}
+
+TEST(PlanTest, PredicateIdsFollowNameOrder) {
+  Result<CompiledProgramPtr> prog = Compile(protocols::MincostProgram());
+  ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+  const CompiledProgram& p = **prog;
+  // Every predicate the program names, events included, in name order.
+  ASSERT_EQ(p.predicates.size(), p.tables.size());
+  int id = 0;
+  for (const auto& [name, info] : p.tables) {
+    EXPECT_EQ(p.predicates[static_cast<size_t>(id)], name);
+    EXPECT_EQ(p.PredicateId(name), id);
+    ++id;
+  }
+  EXPECT_EQ(p.PredicateId("no_such_predicate"), -1);
+  for (const CompiledRule& cr : p.rules) {
+    EXPECT_EQ(p.predicates[cr.head_pred], cr.rule.head.predicate);
+  }
 }
 
 TEST(PlanTest, AggregateRuleMetadata) {
