@@ -175,8 +175,7 @@ std::string SerializeScenario(const Scenario& s) {
 
 Result<ScenarioRunStats> RunScenario(
     const Scenario& scenario, const Topology& topo,
-    std::vector<std::unique_ptr<runtime::Engine>>* engines, Simulator* sim,
-    const ScenarioRunOptions& opts) {
+    std::vector<std::unique_ptr<runtime::Engine>>* engines, Simulator* sim) {
   if (topo.links.empty() || topo.num_nodes == 0) {
     return Status::InvalidArgument("scenario: empty topology");
   }
@@ -251,7 +250,7 @@ Result<ScenarioRunStats> RunScenario(
           break;
         }
         NT_RETURN_IF_ERROR(protocols::RestartNode(
-            v, it->second, topo, engines, sim, opts.on_restored,
+            v, it->second, topo, engines, sim, /*on_restored=*/nullptr,
             /*run_to_quiescence=*/false));
         checkpoints.erase(it);
         ++stats.applied;

@@ -206,8 +206,6 @@ Status RestartNode(NodeId v, const runtime::EngineCheckpoint& ckpt,
   NT_RETURN_IF_ERROR(sim->SetNodeUp(v, true));
   runtime::Engine* engine = (*engines)[v].get();
   engine->RestoreCheckpoint(ckpt);
-  // Observers were dropped by the restore; re-attach provenance stores and
-  // fence query caches before any reconciliation delta flows.
   if (on_restored) on_restored(v);
   // Retract the restored remote-grounded share: v missed every retraction
   // addressed to it while down, so rows whose derivations executed on other

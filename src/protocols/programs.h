@@ -85,12 +85,14 @@ Status CrashNode(NodeId v, const net::Topology& topo,
                  net::Simulator* sim, bool run_to_quiescence = true);
 
 /// Restarts node `v` from `ckpt`: brings its links back up, restores the
-/// engine checkpoint, invokes `on_restored` (attach fresh provenance
-/// store / fence query caches — must run before reconciliation so the new
-/// store observes the reconciliation deltas), reconciles away restored
+/// engine checkpoint, invokes `on_restored` if given (a caller's hook that
+/// runs before any reconciliation delta flows — e.g. to attach an action
+/// observer, which the restore drops), reconciles away restored
 /// remote-grounded derivations that may be stale (v missed retractions
 /// addressed to it while down), then cycles v's link tuples on both
-/// endpoints to trigger re-announcement and re-convergence.
+/// endpoints to trigger re-announcement and re-convergence. Provenance
+/// stores and query caches need no hook: they read the restored tables,
+/// and the restore advances the engine's provenance version.
 Status RestartNode(NodeId v, const runtime::EngineCheckpoint& ckpt,
                    const net::Topology& topo,
                    std::vector<std::unique_ptr<runtime::Engine>>* engines,

@@ -45,18 +45,16 @@ struct Builder {
     v.location = home;
     v.label = labeler(vid);
 
-    const std::vector<ProvEdge>* edges =
-        home < stores.size() ? stores[home]->EdgesFor(vid) : nullptr;
+    const ProvStore* store = home < stores.size() ? stores[home] : nullptr;
     bool has_derivation = false;
-    if (edges != nullptr) {
-      for (const ProvEdge& e : *edges) {
+    if (store != nullptr) {
+      store->EdgesFor(vid, [&](const ProvEdge& e) {
         if (e.IsSelf(vid)) {
           v.is_base = true;
-          continue;
+        } else if (!e.maybe || include_maybe) {
+          has_derivation = true;
         }
-        if (e.maybe && !include_maybe) continue;
-        has_derivation = true;
-      }
+      });
     }
     // Unexplained tuples (no edges, or only excluded maybe edges) render
     // as leaves.
@@ -64,27 +62,26 @@ struct Builder {
     graph.vertices[vid] = v;
 
     if (has_derivation) {
-      for (const ProvEdge& e : *edges) {
-        if (e.IsSelf(vid)) continue;
-        if (e.maybe && !include_maybe) continue;
+      store->EdgesFor(vid, [&](const ProvEdge& e) {
+        if (e.IsSelf(vid) || (e.maybe && !include_maybe)) return;
         graph.edges.push_back({vid, e.rid, e.maybe});
         VisitExec(e.rloc, e.rid, depth - 1);
-      }
+      });
     }
     visiting.erase(vid);
   }
 
   void VisitExec(NodeId rloc, Vid rid, size_t depth) {
     if (graph.vertices.count(rid) || depth == 0) return;
-    const ExecEntry* exec =
-        rloc < stores.size() ? stores[rloc]->ExecFor(rid) : nullptr;
+    const std::optional<ExecEntry> exec =
+        rloc < stores.size() ? stores[rloc]->ExecFor(rid) : std::nullopt;
     Vertex v;
     v.id = rid;
     v.kind = VertexKind::kRuleExec;
     v.location = rloc;
-    v.label = exec != nullptr ? exec->rule : "rule?";
+    v.label = exec ? exec->rule : "rule?";
     graph.vertices[rid] = v;
-    if (exec == nullptr) return;
+    if (!exec) return;
     for (Vid input : exec->inputs) {
       graph.edges.push_back({rid, input, false});
       // Inputs of a rule execution are homed at the executing node.

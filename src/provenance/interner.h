@@ -1,10 +1,9 @@
-// Interning of 64-bit VIDs into dense 32-bit handles. The provenance churn
-// of a converging network re-touches the same vertices over and over (every
-// re-derivation of a tuple re-emits prov/ruleExec deltas naming the same
-// VIDs); interning gives each distinct VID a small dense handle once, so
-// the adjacency maps key on 4-byte handles instead of full digests and the
-// re-touch rate is directly observable (hits()). Leaf header: safe to
-// include from the runtime layer (depends only on common/).
+// Interning of 64-bit VIDs into dense 32-bit handles. The engine interns the
+// VID of every tuple it registers (Engine::RegisterVid); a converging
+// network re-derives the same tuples over and over, and hits() makes that
+// re-touch rate observable. Handles are dense ids in first-intern order,
+// recorded by engine checkpoints. Leaf header: safe to include from the
+// runtime layer (depends only on common/).
 #ifndef NETTRAILS_PROVENANCE_INTERNER_H_
 #define NETTRAILS_PROVENANCE_INTERNER_H_
 
@@ -21,7 +20,6 @@ class VidInterner {
  public:
   /// Dense handle, assigned in first-intern order starting at 0.
   using Handle = uint32_t;
-  static constexpr Handle kInvalidHandle = 0xffffffffu;
 
   /// Handle of `vid`, allocating one on first sight. Re-interning a known
   /// VID is a hit (the hot path the interner exists for).
@@ -34,13 +32,6 @@ class VidInterner {
       ++hits_;
     }
     return it->second;
-  }
-
-  /// Handle of `vid` if already interned, else kInvalidHandle. Never
-  /// allocates and does not count as a hit (read-side lookup).
-  Handle Find(Vid vid) const {
-    auto it = handles_.find(vid);
-    return it == handles_.end() ? kInvalidHandle : it->second;
   }
 
   /// The VID a handle stands for. `h` must come from this interner.

@@ -43,6 +43,9 @@ inline constexpr size_t kProvArity = 5;
 inline constexpr char kRuleExecTable[] = "ruleExec";
 inline constexpr size_t kRuleExecArity = 4;
 
+/// Position of the vertex id in both views: prov's VID, ruleExec's RID.
+inline constexpr int kVertexIdPos = 1;
+
 /// Prefix of generated execution-history views: eh_<rulename>.
 inline constexpr char kEhPrefix[] = "eh_";
 

@@ -2,6 +2,7 @@
 
 #include <deque>
 #include <set>
+#include <tuple>
 
 #include "src/common/hash.h"
 
@@ -53,12 +54,13 @@ Evidence CollectEvidence(const std::vector<const ProvStore*>& stores,
   frontier.push_back({root, root_home, max_depth});
   seen_tuples.insert(root);
   while (!frontier.empty()) {
-    auto [vid, home, depth] = frontier.front();
+    Vid vid;
+    NodeId home;
+    size_t depth;
+    std::tie(vid, home, depth) = frontier.front();
     frontier.pop_front();
     if (depth == 0 || home >= stores.size()) continue;
-    const std::vector<ProvEdge>* edges = stores[home]->EdgesFor(vid);
-    if (edges == nullptr) continue;
-    for (const ProvEdge& e : *edges) {
+    stores[home]->EdgesFor(vid, [&](const ProvEdge& e) {
       SignedEdge se;
       se.vid = vid;
       se.loc = home;
@@ -67,25 +69,26 @@ Evidence CollectEvidence(const std::vector<const ProvStore*>& stores,
       se.maybe = e.maybe;
       se.mac = authority.MacEdge(se);
       evidence.edges.push_back(se);
-      if (e.IsSelf(vid)) continue;
-      if (!seen_execs.insert(e.rid).second) continue;
-      const ExecEntry* exec =
-          e.rloc < stores.size() ? stores[e.rloc]->ExecFor(e.rid) : nullptr;
-      if (exec == nullptr) continue;
+      if (e.IsSelf(vid)) return;
+      if (!seen_execs.insert(e.rid).second) return;
+      const std::optional<ExecEntry> exec =
+          e.rloc < stores.size() ? stores[e.rloc]->ExecFor(e.rid)
+                                 : std::nullopt;
+      if (!exec) return;
       SignedExec sx;
       sx.rid = e.rid;
       sx.rloc = e.rloc;
       sx.rule = exec->rule;
-      sx.inputs = exec->inputs;
+      for (Vid input : exec->inputs) sx.inputs.push_back(input);
       sx.mac = authority.MacExec(sx);
       evidence.execs.push_back(sx);
-      for (Vid input : exec->inputs) {
+      for (Vid input : sx.inputs) {
         if (seen_tuples.insert(input).second) {
           // Inputs of an execution are homed at the executing node.
           frontier.push_back({input, e.rloc, depth - 1});
         }
       }
-    }
+    });
   }
   return evidence;
 }

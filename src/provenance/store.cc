@@ -2,151 +2,97 @@
 
 #include <algorithm>
 
-#include "src/provenance/rewrite.h"
-#include "src/runtime/builtins.h"
-
 namespace nettrails {
 namespace provenance {
 
-using runtime::TableAction;
+using runtime::Table;
 using runtime::ValueToVid;
 
-ProvStore::ProvStore(runtime::Engine* engine) : engine_(engine) {
-  // Bootstrap from state that existed before this store attached.
-  for (const char* table : {kProvTable, kRuleExecTable}) {
-    const runtime::Table* t = engine_->GetTable(table);
-    if (t == nullptr) continue;
-    for (runtime::Table::RowHandle h : t->OrderedView()) {
-      const runtime::Table::Row& row = t->Deref(h);
-      OnAction(table, {row.fields, row.count, /*is_delete=*/false});
-    }
-  }
-  engine_->AddActionObserver(
-      [this](const std::string& table, const TableAction& action) {
-        OnAction(table, action);
-      });
+ProvStore::ProvStore(runtime::Engine* engine) : engine_(engine), key_(1) {
+  engine_->IndexProvenanceViews();
 }
 
-void ProvStore::OnAction(const std::string& table, const TableAction& action) {
-  if (table == kProvTable) {
-    // prov(@Loc, VID, RID, RLoc, Maybe)
-    if (action.fields.size() != kProvArity) return;
-    Vid vid = ValueToVid(action.fields[1]);
-    Vid rid = ValueToVid(action.fields[2]);
-    NodeId rloc = action.fields[3].is_address() ? action.fields[3].as_address()
-                                                : engine_->id();
-    bool maybe = action.fields[4].Truthy();
-    ++version_;
-    if (action.is_delete) {
-      // A retraction of an unknown vertex allocates nothing: the interner
-      // is append-only, so dead handles would accumulate otherwise.
-      VidInterner::Handle vh = interner()->Find(vid);
-      if (vh == VidInterner::kInvalidHandle) return;
-      auto eit = edges_.find(vh);
-      if (eit == edges_.end()) return;
-      std::vector<ProvEdge>& edges = eit->second;
-      for (size_t i = 0; i < edges.size(); ++i) {
-        ProvEdge& e = edges[i];
-        if (e.rid == rid && e.rloc == rloc && e.maybe == maybe) {
-          e.count -= action.mult;
-          if (e.count <= 0) {
-            edges.erase(edges.begin() + static_cast<long>(i));
-            if (edges.empty()) edges_.erase(eit);
-          }
-          return;
-        }
-      }
-      return;
-    }
-    VidInterner::Handle vh = interner()->Intern(vid);
-    std::vector<ProvEdge>& edges = edges_[vh];
-    for (ProvEdge& e : edges) {
-      if (e.rid == rid && e.rloc == rloc && e.maybe == maybe) {
-        e.count += action.mult;
-        return;
-      }
-    }
-    edges.push_back(ProvEdge{rid, rloc, maybe, action.mult});
-    return;
-  }
-  if (table == kRuleExecTable) {
-    // ruleExec(@RLoc, RID, RuleName, VidList)
-    if (action.fields.size() != kRuleExecArity) return;
-    Vid rid = ValueToVid(action.fields[1]);
-    ++version_;
-    if (action.is_delete) {
-      VidInterner::Handle rh = interner()->Find(rid);
-      if (rh == VidInterner::kInvalidHandle) return;
-      auto it = execs_.find(rh);
-      if (it != execs_.end()) {
-        it->second.count -= action.mult;
-        if (it->second.count <= 0) execs_.erase(it);
-      }
-      return;
-    }
-    ExecEntry& entry = execs_[interner()->Intern(rid)];
-    if (entry.count == 0) {
-      entry.rule =
-          action.fields[2].is_string() ? action.fields[2].as_string() : "?";
-      entry.inputs.clear();
-      if (action.fields[3].is_list()) {
-        for (const Value& v : action.fields[3].as_list()) {
-          entry.inputs.push_back(ValueToVid(v));
-        }
-      }
-    }
-    entry.count += action.mult;
-  }
+const std::vector<Table::RowHandle>* ProvStore::Probe(
+    const runtime::Engine::IndexedView& view, const Value& id) const {
+  if (view.table == nullptr) return nullptr;
+  key_[0] = id;
+  return view.table->Probe(view.index, key_);
 }
 
-const std::vector<ProvEdge>* ProvStore::EdgesFor(Vid vid) const {
-  VidInterner::Handle h = interner()->Find(vid);
-  if (h == VidInterner::kInvalidHandle) return nullptr;
-  auto it = edges_.find(h);
-  return it == edges_.end() ? nullptr : &it->second;
+ExecEntry ProvStore::ExecOf(const Table::Row& row) {
+  static const ValueList kNoInputs;
+  const ValueList& f = row.fields;
+  return {f[2].is_string() ? std::string_view(f[2].as_string()) : "?",
+          VidRange{f[3].is_list() ? &f[3].as_list() : &kNoInputs}, row.count};
 }
 
-const ExecEntry* ProvStore::ExecFor(Vid rid) const {
-  VidInterner::Handle h = interner()->Find(rid);
-  if (h == VidInterner::kInvalidHandle) return nullptr;
-  auto it = execs_.find(h);
-  return it == execs_.end() ? nullptr : &it->second;
+std::optional<ExecEntry> ProvStore::ExecFor(Vid rid) const {
+  const runtime::Engine::IndexedView& exec = engine_->rule_exec_view();
+  const Value id = runtime::VidToValue(rid);
+  const std::vector<Table::RowHandle>* rows = Probe(exec, id);
+  if (rows == nullptr) return std::nullopt;
+  for (Table::RowHandle h : *rows) {
+    const Table::Row& row = exec.table->Deref(h);
+    if (row.fields.size() == kRuleExecArity && row.fields[kVertexIdPos] == id) {
+      return ExecOf(row);
+    }
+  }
+  return std::nullopt;
 }
 
 std::vector<Vid> ProvStore::AllVids() const {
   std::vector<Vid> out;
-  out.reserve(edges_.size());
-  for (const auto& [vh, edges] : edges_) out.push_back(interner()->ToVid(vh));
+  const Table* prov = engine_->prov_view().table;
+  if (prov == nullptr) return out;
+  for (Table::RowHandle h : prov->OrderedView()) {
+    const ValueList& f = prov->Deref(h).fields;
+    if (f.size() == kProvArity) out.push_back(ValueToVid(f[kVertexIdPos]));
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 
 size_t ProvStore::edge_count() const {
-  size_t n = 0;
-  for (const auto& [vid, edges] : edges_) n += edges.size();
-  return n;
+  const Table* prov = engine_->prov_view().table;
+  return prov == nullptr ? 0 : prov->size();
+}
+
+size_t ProvStore::exec_count() const {
+  const Table* exec = engine_->rule_exec_view().table;
+  return exec == nullptr ? 0 : exec->size();
 }
 
 std::string ProvStore::CanonicalGraph() const {
   std::vector<std::string> lines;
-  lines.reserve(edges_.size() + execs_.size());
-  for (const auto& [vh, edges] : edges_) {
-    Vid vid = interner()->ToVid(vh);
-    for (const ProvEdge& e : edges) {
-      lines.push_back("edge " + std::to_string(vid) + " <- rid=" +
-                      std::to_string(e.rid) + " @" + std::to_string(e.rloc) +
-                      (e.maybe ? " maybe" : "") + " x" +
-                      std::to_string(e.count));
+  lines.reserve(edge_count() + exec_count());
+  if (const Table* prov = engine_->prov_view().table) {
+    for (Table::RowHandle h : prov->OrderedView()) {
+      const Table::Row& row = prov->Deref(h);
+      if (row.fields.size() != kProvArity) continue;
+      const ProvEdge e = EdgeOf(row);
+      lines.push_back("edge " +
+                      std::to_string(ValueToVid(row.fields[kVertexIdPos])) +
+                      " <- rid=" + std::to_string(e.rid) + " @" +
+                      std::to_string(e.rloc) + (e.maybe ? " maybe" : "") +
+                      " x" + std::to_string(e.count));
     }
   }
-  for (const auto& [rh, exec] : execs_) {
-    std::string line = "exec " + std::to_string(interner()->ToVid(rh)) + " " +
-                       exec.rule + "(";
-    for (size_t i = 0; i < exec.inputs.size(); ++i) {
-      if (i > 0) line += ",";
-      line += std::to_string(exec.inputs[i]);
+  if (const Table* exec = engine_->rule_exec_view().table) {
+    for (Table::RowHandle h : exec->OrderedView()) {
+      const Table::Row& row = exec->Deref(h);
+      if (row.fields.size() != kRuleExecArity) continue;
+      const ExecEntry entry = ExecOf(row);
+      std::string line =
+          "exec " + std::to_string(ValueToVid(row.fields[kVertexIdPos])) +
+          " " + std::string(entry.rule) + "(";
+      for (size_t i = 0; i < entry.inputs.size(); ++i) {
+        if (i > 0) line += ",";
+        line += std::to_string(entry.inputs[i]);
+      }
+      line += ") x" + std::to_string(entry.count);
+      lines.push_back(std::move(line));
     }
-    line += ") x" + std::to_string(exec.count);
-    lines.push_back(std::move(line));
   }
   std::sort(lines.begin(), lines.end());
   std::string out;

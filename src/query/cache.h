@@ -1,7 +1,9 @@
 // Per-node provenance query result cache (one of the ExSPAN query
 // optimizations: "caching previously queried results"). Entries are
-// validated against the provenance store's version counter, so any
-// provenance change invalidates stale results without eager flushing.
+// validated against a provenance version that grows on every change and
+// never resets (ProvenanceQuerier passes the sum of every engine's
+// version), so any provenance change invalidates stale results without
+// eager flushing.
 #ifndef NETTRAILS_QUERY_CACHE_H_
 #define NETTRAILS_QUERY_CACHE_H_
 
@@ -75,10 +77,10 @@ class ResultCache {
  public:
   /// Returns the cached result if present and its stored version matches
   /// `current_version`. Any version advance sweeps the whole cache: every
-  /// entry is validated against the store's single version counter, so a
-  /// provenance change invalidates all of them at once, and per-key
-  /// eviction alone would let keys that are never looked up again
-  /// accumulate without bound under churn.
+  /// entry is validated against the same version, so a provenance change
+  /// invalidates all of them at once, and per-key eviction alone would let
+  /// keys that are never looked up again accumulate without bound under
+  /// churn.
   const PartialResult* Lookup(const CacheKey& key, uint64_t current_version);
 
   /// Caches `result` under `key`. Truncated results are refused: they
@@ -92,18 +94,6 @@ class ResultCache {
     entries_.clear();
     hits_ = 0;
     misses_ = 0;
-  }
-
-  /// Restart fence. A recovered node attaches a *fresh* ProvStore whose
-  /// version counter restarts near zero, so version comparison alone cannot
-  /// distinguish "same version, same graph" from "same version, different
-  /// incarnation". Drops every entry AND forgets the observed version —
-  /// unlike Clear, which keeps hit/miss counters, this resets the version
-  /// watermark so post-restart Stores at small versions are not rejected
-  /// as stale.
-  void InvalidateForRestart() {
-    entries_.clear();
-    seen_version_ = 0;
   }
 
   uint64_t hits() const { return hits_; }

@@ -112,8 +112,12 @@ std::set<Vid> DecodePath(const Value& v) {
 }  // namespace
 
 QueryService::QueryService(net::Simulator* sim, runtime::Engine* engine,
-                           provenance::ProvStore* store)
-    : sim_(sim), engine_(engine), store_(store) {
+                           const provenance::ProvStore* store,
+                           const uint64_t* network_version)
+    : sim_(sim),
+      engine_(engine),
+      store_(store),
+      network_version_(network_version) {
   channel_ = sim_->InternChannel(kProvQueryChannel);
   sim_->RegisterHandler(engine_->id(), kProvQueryChannel,
                         [this](const net::Message& msg) { OnMessage(msg); });
@@ -146,8 +150,9 @@ void QueryService::ResolveTuple(uint64_t qid, const QueryOptions& opts,
   // budget must not be served to a traversal arriving with a deeper one.
   CacheKey key{vid, opts.type, opts.include_maybe, opts.count_threshold,
                depth};
+  const uint64_t version = *network_version_;
   if (opts.use_cache) {
-    if (const PartialResult* hit = cache_.Lookup(key, store_->version())) {
+    if (const PartialResult* hit = cache_.Lookup(key, version)) {
       MemoEntry& m = memo_[qid][vid];
       m.complete = true;
       m.result = *hit;
@@ -157,7 +162,6 @@ void QueryService::ResolveTuple(uint64_t qid, const QueryOptions& opts,
     }
   }
 
-  const std::vector<provenance::ProvEdge>* edges = store_->EdgesFor(vid);
   auto fan = std::make_shared<Fanout>();
   fan->opts = opts;
   fan->product = false;
@@ -165,17 +169,13 @@ void QueryService::ResolveTuple(uint64_t qid, const QueryOptions& opts,
 
   bool leaf_contribution = false;
   std::vector<provenance::ProvEdge> child_edges;
-  if (edges != nullptr) {
-    for (const provenance::ProvEdge& e : *edges) {
-      if (e.IsSelf(vid)) {
-        leaf_contribution = true;
-      } else if (e.maybe && !opts.include_maybe) {
-        continue;
-      } else {
-        child_edges.push_back(e);
-      }
+  store_->EdgesFor(vid, [&](const provenance::ProvEdge& e) {
+    if (e.IsSelf(vid)) {
+      leaf_contribution = true;
+    } else if (!e.maybe || opts.include_maybe) {
+      child_edges.push_back(e);
     }
-  }
+  });
   // No usable derivation (including the case where every edge was a maybe
   // edge excluded by the query): the tuple is an unexplained leaf.
   if (child_edges.empty()) leaf_contribution = true;
@@ -191,7 +191,6 @@ void QueryService::ResolveTuple(uint64_t qid, const QueryOptions& opts,
     });
   }
 
-  uint64_t version = store_->version();
   fan->done = [this, qid, vid, key, version, opts](const PartialResult& r) {
     if (opts.use_cache) cache_.Store(key, version, r);  // refuses truncated
     auto& per_query = memo_[qid];
@@ -247,8 +246,8 @@ void QueryService::ResolveExecAt(uint64_t qid, const QueryOptions& opts,
 void QueryService::ResolveExec(uint64_t qid, const QueryOptions& opts, Vid rid,
                                uint32_t depth, const std::set<Vid>& path,
                                Done done) {
-  const provenance::ExecEntry* exec = store_->ExecFor(rid);
-  if (exec == nullptr || depth == 0) {
+  const std::optional<provenance::ExecEntry> exec = store_->ExecFor(rid);
+  if (!exec || depth == 0) {
     PartialResult r;
     r.truncated = true;
     done(r);
@@ -348,16 +347,6 @@ void QueryService::HandleReply(const Tuple& rep) {
 
 void QueryService::ClearQuery(uint64_t qid) { memo_.erase(qid); }
 
-void QueryService::OnNodeRestart(provenance::ProvStore* new_store) {
-  store_ = new_store;
-  cache_.InvalidateForRestart();
-  // Memoized partials and pending remote continuations reference the dead
-  // incarnation's graph; any in-flight query over a crashing node is
-  // abandoned rather than answered from stale state.
-  memo_.clear();
-  pending_.clear();
-}
-
 ProvenanceQuerier::ProvenanceQuerier(net::Simulator* sim,
                                      std::vector<runtime::Engine*> engines)
     : sim_(sim), engines_(std::move(engines)) {
@@ -365,8 +354,8 @@ ProvenanceQuerier::ProvenanceQuerier(net::Simulator* sim,
   for (size_t i = 0; i < engines_.size(); ++i) {
     assert(engines_[i]->id() == i && "engines must be ordered by node id");
     stores_.push_back(std::make_unique<provenance::ProvStore>(engines_[i]));
-    services_.push_back(
-        std::make_unique<QueryService>(sim_, engines_[i], stores_[i].get()));
+    services_.push_back(std::make_unique<QueryService>(
+        sim_, engines_[i], stores_[i].get(), &network_version_));
   }
 }
 
@@ -385,6 +374,14 @@ Result<QueryResult> ProvenanceQuerier::QueryVid(NodeId home, Vid vid,
     return Status::InvalidArgument("unknown home node " +
                                    std::to_string(home));
   }
+  // A cached subtree's answer depends on provenance held at other nodes
+  // too, so every node's cache validates against the whole network's
+  // version: any change anywhere invalidates every cached answer. Summed
+  // once per query — per vertex lookup it would cost more than the lookup.
+  // A real deployment would propagate invalidations along the provenance
+  // edges instead; here the querier can see every node.
+  network_version_ = 0;
+  for (const auto* e : engines_) network_version_ += e->provenance_version();
   uint64_t qid = next_qid_++;
   net::Time start = sim_->now();
   const net::ChannelId ch = sim_->InternChannel(kProvQueryChannel);
@@ -448,16 +445,6 @@ uint64_t ProvenanceQuerier::total_cache_misses() const {
 
 void ProvenanceQuerier::ClearCaches() {
   for (auto& s : services_) s->cache().Clear();
-}
-
-void ProvenanceQuerier::RestartNode(NodeId id) {
-  assert(id < stores_.size());
-  // The fresh store's constructor replays the restored prov/ruleExec rows
-  // into its adjacency indexes and registers a new engine observer, so it
-  // must be built after Engine::RestoreCheckpoint has repopulated tables
-  // (and cleared the old observers).
-  stores_[id] = std::make_unique<provenance::ProvStore>(engines_[id]);
-  services_[id]->OnNodeRestart(stores_[id].get());
 }
 
 }  // namespace query

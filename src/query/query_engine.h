@@ -63,8 +63,11 @@ class QueryService {
  public:
   using Done = std::function<void(const PartialResult&)>;
 
+  /// `network_version` is the provenance version the result cache validates
+  /// against; the owning ProvenanceQuerier sets it before each query.
   QueryService(net::Simulator* sim, runtime::Engine* engine,
-               provenance::ProvStore* store);
+               const provenance::ProvStore* store,
+               const uint64_t* network_version);
 
   NodeId node() const { return engine_->id(); }
 
@@ -75,13 +78,6 @@ class QueryService {
 
   /// Drops per-query memoization state.
   void ClearQuery(uint64_t qid);
-
-  /// Re-points the service at the store attached to a restarted engine and
-  /// fences all cached/memoized results from the previous incarnation.
-  /// Must be called whenever the node's ProvStore is replaced — cached
-  /// answers keyed by the old store's version counter would otherwise be
-  /// served against the new store's unrelated counter.
-  void OnNodeRestart(provenance::ProvStore* new_store);
 
   ResultCache& cache() { return cache_; }
   uint64_t remote_requests_served() const { return remote_requests_served_; }
@@ -105,7 +101,8 @@ class QueryService {
 
   net::Simulator* sim_;
   runtime::Engine* engine_;
-  provenance::ProvStore* store_;
+  const provenance::ProvStore* store_;
+  const uint64_t* network_version_;
   /// Interned kProvQueryChannel id, resolved once at construction.
   net::ChannelId channel_ = 0;
   ResultCache cache_;
@@ -118,7 +115,10 @@ class QueryService {
 
 /// Client-side facade: owns a ProvStore and QueryService per node, issues
 /// queries, runs the simulator to completion, and assembles QueryResults
-/// with rendered leaf tuples and measured traffic.
+/// with rendered leaf tuples and measured traffic. The stores are views
+/// over the engines' tables, so a node restored from a checkpoint needs no
+/// re-attach: its engine's provenance version advances, which invalidates
+/// every cached answer.
 class ProvenanceQuerier {
  public:
   /// `engines[i]` must be the engine of node i.
@@ -143,17 +143,14 @@ class ProvenanceQuerier {
   uint64_t total_cache_misses() const;
   void ClearCaches();
 
-  /// Rebinds node `id` after an engine crash+restore: replaces its
-  /// ProvStore with a fresh one (which re-bootstraps adjacency from the
-  /// restored prov/ruleExec tables) and fences the node's query cache so
-  /// no pre-crash answer survives into the new incarnation.
-  void RestartNode(NodeId id);
-
  private:
   net::Simulator* sim_;
   std::vector<runtime::Engine*> engines_;
   std::vector<std::unique_ptr<provenance::ProvStore>> stores_;
   std::vector<std::unique_ptr<QueryService>> services_;
+  /// Sum of every engine's provenance version, taken once per query and
+  /// read by every node's cache during it (see QueryVid).
+  uint64_t network_version_ = 0;
   uint64_t next_qid_ = 1;
 };
 

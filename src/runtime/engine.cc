@@ -69,6 +69,8 @@ void Engine::InitTables() {
       }
     }
   }
+  // After the planner's, so the compiled index ids stay put.
+  if (provenance_indexed_) IndexProvenanceViews();
   // Resolve each body atom's table once: the join loop indexes
   // term_tables_ instead of probing the string-keyed table map per visit.
   term_tables_.assign(prog_->rules.size(), {});
@@ -104,7 +106,21 @@ Engine::PredSlot Engine::SlotFor(const std::string& name) {
   // ordinary user tables.
   slot.track_vids =
       !(prog_->provenance && provenance::IsProvenancePredicate(name));
+  slot.provenance_view = prog_->provenance &&
+                         (name == provenance::kProvTable ||
+                          name == provenance::kRuleExecTable);
   return slot;
+}
+
+void Engine::IndexProvenanceViews() {
+  if (!prog_->provenance) return;
+  provenance_indexed_ = true;
+  for (auto [name, view] : {std::pair(provenance::kProvTable, &prov_view_),
+                            std::pair(provenance::kRuleExecTable,
+                                      &rule_exec_view_)}) {
+    Table& table = tables_.at(name);
+    *view = {&table, table.AddIndex({provenance::kVertexIdPos})};
+  }
 }
 
 PredId Engine::PredIdOf(const std::string& name) {
@@ -307,6 +323,7 @@ void Engine::ProcessBatch() {
   // recycle them for the next emitted tuples.
   for (DeltaRequest& r : batch_reqs_) ReleaseList(std::move(r.fields));
   if (actions.empty()) return;
+  if (slot.provenance_view) provenance_version_ += actions.size();
 
   actions_this_trigger_ += actions.size();
   stats_.actions_processed += actions.size();
@@ -321,8 +338,8 @@ void Engine::ProcessBatch() {
     FlushDirtyAggregates();
   }
 
-  // Per-tuple post-processing in application order (provenance observers
-  // see every tuple).
+  // Per-tuple post-processing in application order (observers see every
+  // tuple).
   for (const TableAction& action : actions) {
     if (slot.track_vids && !action.is_delete) {
       RegisterVid(*slot.name, action.fields);
@@ -1012,6 +1029,7 @@ void Engine::HaltForCrash() {
 
 void Engine::RestoreCheckpoint(const EngineCheckpoint& ckpt) {
   ++restart_epoch_;
+  ++provenance_version_;  // the provenance slice is replaced wholesale
   queue_.clear();
   draining_ = false;
   overflowed_ = false;
@@ -1019,8 +1037,7 @@ void Engine::RestoreCheckpoint(const EngineCheckpoint& ckpt) {
   dirty_aggs_.clear();
   outbox_.Clear();
   outbox_order_.clear();
-  // Pre-crash observers (the node's ProvStore among them) reference dead
-  // state; the recovery harness attaches fresh ones after this returns.
+  // Rows load below without notifying observers; callers attach fresh ones.
   observers_.clear();
 
   // Tables are rebuilt from scratch — term_tables_ holds raw pointers into

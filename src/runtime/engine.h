@@ -86,8 +86,8 @@ struct EngineStats {
   /// hash was already computed). The cached-hash win: re-digest count per
   /// distinct list drops to <= 1.
   uint64_t hash_cache_hits = 0;
-  /// VidInterner lookups that found an already-interned VID (eh_* / prov /
-  /// ruleExec churn re-touching known vertices).
+  /// VidInterner lookups that found an already-interned VID (re-derivations
+  /// re-registering known tuples).
   uint64_t vid_intern_hits = 0;
   /// Heap allocations (global operator new calls, process-wide) that landed
   /// while this engine was draining its delta queue. Reads 0 unless the
@@ -188,14 +188,35 @@ class Engine {
   /// for deleted state are retained while provenance references them.
   const Tuple* FindTupleByVid(Vid vid) const;
 
-  /// This node's VID interner, shared with the provenance store so engine
-  /// and store agree on handles. Stats land in EngineStats::vid_intern_hits.
+  /// This node's VID interner: every VID the engine has registered, in
+  /// first-sight order (checkpointed with the VID index). Stats land in
+  /// EngineStats::vid_intern_hits.
   provenance::VidInterner* vid_interner() { return &vid_interner_; }
   const provenance::VidInterner& vid_interner() const { return vid_interner_; }
 
   void AddActionObserver(ActionObserver obs) {
     observers_.push_back(std::move(obs));
   }
+
+  /// A provenance view as provenance::ProvStore probes it: the prov or
+  /// ruleExec table and the id of its vertex-id index. Empty (nullptr
+  /// table) until IndexProvenanceViews runs, and always without provenance.
+  struct IndexedView {
+    const Table* table = nullptr;
+    int index = -1;
+  };
+  const IndexedView& prov_view() const { return prov_view_; }
+  const IndexedView& rule_exec_view() const { return rule_exec_view_; }
+
+  /// Registers the indexes a provenance reader probes — prov and ruleExec
+  /// on their vertex id — and re-registers them on every table rebuild.
+  /// Idempotent; engines nobody reads carry no such index.
+  void IndexProvenanceViews();
+
+  /// Visible actions applied to prov and ruleExec, plus one per
+  /// RestoreCheckpoint. Never reset: an unchanged value means an unchanged
+  /// provenance slice.
+  uint64_t provenance_version() const { return provenance_version_; }
 
   const EngineStats& stats() const { return stats_; }
   /// True if the max_actions safety valve tripped (runaway program).
@@ -224,14 +245,13 @@ class Engine {
   /// join loop's table resolution included), aggregate state, soft-state
   /// bookkeeping (expiry timers are re-armed at their absolute deadlines —
   /// deadlines that passed while the node was down fire immediately), the
-  /// VID interner, and the VID index. Action observers are dropped (a
-  /// pre-crash ProvStore points at dead state; the recovery harness
-  /// attaches a fresh store, which bootstraps itself from the restored
-  /// prov/ruleExec tables). Periodic streams restart from iteration 1.
+  /// VID interner, and the VID index, and advances the provenance version
+  /// (a ProvStore needs no re-attach). Action observers are dropped: rows
+  /// load without notifying them. Periodic streams restart from iteration 1.
   void RestoreCheckpoint(const EngineCheckpoint& ckpt);
 
-  /// Recovery reconciliation, run after RestoreCheckpoint (and after the
-  /// fresh provenance store is attached): retracts the remote-grounded
+  /// Recovery reconciliation, run after RestoreCheckpoint (and after any
+  /// observer is re-attached): retracts the remote-grounded
   /// share of every restored tuple — derivations whose rule execution
   /// lives on another node (prov rows with RLoc != this node). A restarted
   /// node missed every retraction addressed to it while it was down, so
@@ -278,6 +298,8 @@ class Engine {
     /// rewrite's own views (eh_* / prov / ruleExec), which are never
     /// provenance vertices.
     bool track_vids = true;
+    /// prov or ruleExec: applied actions advance provenance_version_.
+    bool provenance_view = false;
   };
 
   /// Net per-tuple count adjustments carried by a suffix of a batch's
@@ -485,6 +507,10 @@ class Engine {
 
   std::unordered_map<Vid, Tuple> vid_index_;
   provenance::VidInterner vid_interner_;
+  bool provenance_indexed_ = false;  // see IndexProvenanceViews
+  IndexedView prov_view_;
+  IndexedView rule_exec_view_;
+  uint64_t provenance_version_ = 0;
 
   /// One provenance row an aggregate group emitted (a prov or ruleExec
   /// tuple), kept by id so retracting it needs no name lookup.

@@ -66,7 +66,10 @@ TEST_F(DeclarativeChurnTest, ProvenanceTracksIncrementalRecomputation) {
   }
   EXPECT_FALSE(engines_[0]->HasTuple(target));
   // Its prov edges are gone from the home node's store.
-  EXPECT_EQ(querier_->store(0)->EdgesFor(target.Hash()), nullptr);
+  size_t edges = 0;
+  querier_->store(0)->EdgesFor(target.Hash(),
+                               [&](const provenance::ProvEdge&) { ++edges; });
+  EXPECT_EQ(edges, 0u);
 }
 
 TEST_F(DeclarativeChurnTest, QueriesConsistentAfterRecovery) {

@@ -97,17 +97,18 @@ TEST_P(ProvenanceInvariants, DerivedTuplesHaveProvenanceEdges) {
     provenance::ProvStore* store = querier_->store(engine->id());
     for (const std::string& table : DerivedTables()) {
       for (const Tuple& t : engine->TableContents(table)) {
-        const std::vector<provenance::ProvEdge>* edges =
-            store->EdgesFor(t.Hash());
-        ASSERT_NE(edges, nullptr) << t.ToString();
-        ASSERT_FALSE(edges->empty()) << t.ToString();
+        size_t edges = 0;
+        int64_t total = 0;
+        store->EdgesFor(t.Hash(), [&](const provenance::ProvEdge& e) {
+          ++edges;
+          total += e.count;
+        });
+        ASSERT_GT(edges, 0u) << t.ToString();
         // I1: for counting tables, edge multiplicity sums to the tuple's
         // derivation count. (Aggregate outputs keep one stored tuple but
         // one edge per winning contribution, so only >= 1 is required.)
         const ndlog::TableInfo* info = prog_->FindTable(table);
         if (info != nullptr && info->KeysCoverAllFields()) {
-          int64_t total = 0;
-          for (const provenance::ProvEdge& e : *edges) total += e.count;
           EXPECT_EQ(total, engine->CountOf(t)) << t.ToString();
         }
         ++checked;
@@ -121,17 +122,17 @@ TEST_P(ProvenanceInvariants, EdgesResolveToKnownExecutions) {
   for (const auto& engine : engines_) {
     provenance::ProvStore* store = querier_->store(engine->id());
     for (Vid vid : store->AllVids()) {
-      for (const provenance::ProvEdge& e : *store->EdgesFor(vid)) {
-        if (e.IsSelf(vid)) continue;
-        const provenance::ExecEntry* exec =
+      store->EdgesFor(vid, [&](const provenance::ProvEdge& e) {
+        if (e.IsSelf(vid)) return;
+        const std::optional<provenance::ExecEntry> exec =
             querier_->store(e.rloc)->ExecFor(e.rid);
-        ASSERT_NE(exec, nullptr) << "dangling exec edge";
+        ASSERT_TRUE(exec.has_value()) << "dangling exec edge";
         EXPECT_FALSE(exec->rule.empty());
         // I2: inputs are known tuples at the executing node.
         for (Vid input : exec->inputs) {
           EXPECT_NE(engines_[e.rloc]->FindTupleByVid(input), nullptr);
         }
-      }
+      });
     }
   }
 }

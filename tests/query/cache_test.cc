@@ -127,30 +127,6 @@ TEST(CacheTest, StaleVersionStoreIsDropped) {
   EXPECT_EQ(cache.Lookup(key, 5), nullptr);
 }
 
-// Regression for crash recovery: a restarted node attaches a fresh
-// ProvStore whose version counter restarts near zero, so version
-// comparison alone cannot tell "same version, same graph" from "same
-// version number, different incarnation". Without the restart fence, an
-// answer cached at pre-crash version 7 would be served verbatim once the
-// new store's counter reaches 7 again.
-TEST(CacheTest, InvalidateForRestartFencesOldIncarnation) {
-  ResultCache cache;
-  CacheKey key{7, QueryType::kLineage, true, 0};
-  cache.Store(key, 7, SomeResult());
-  ASSERT_NE(cache.Lookup(key, 7), nullptr);
-  cache.InvalidateForRestart();
-  // Same key, same version number, new incarnation: must miss.
-  EXPECT_EQ(cache.Lookup(key, 7), nullptr);
-  EXPECT_EQ(cache.size(), 0u);
-
-  // The fence also forgets the version watermark: the new incarnation's
-  // early versions must be storable (a kept watermark of 7 would make
-  // Store(version=2) drop every post-restart result as "stale").
-  cache.InvalidateForRestart();
-  cache.Store(key, 2, SomeResult());
-  EXPECT_NE(cache.Lookup(key, 2), nullptr);
-}
-
 TEST(CacheTest, PartialResultMergeStructure) {
   PartialResult a = SomeResult();
   PartialResult b;

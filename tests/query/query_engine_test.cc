@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "src/net/topology.h"
 #include "src/protocols/programs.h"
 #include "src/proxy/proxy.h"
@@ -357,6 +361,67 @@ TEST_F(QueryDiamondTest, DepthLimitTruncates) {
   Result<QueryResult> r = querier_->Query(conn, opts);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->truncated);
+}
+
+// A cached subtree's answer depends on provenance held at other nodes, so a
+// node must not validate its cache against its own provenance alone: a
+// change elsewhere in the network would leave its cached answers stale.
+// MINCOST on Abilene, one pass flapping every link; after each event, every
+// mincost tuple is queried with the cache on and off, for all three query
+// types, and the answers must agree.
+TEST(QueryCacheStalenessTest, CachedAnswersMatchUncachedAcrossLinkFlaps) {
+  Result<net::Topology> topo = net::LoadTopologyFile(
+      std::string(NETTRAILS_SOURCE_DIR) + "/examples/topologies/abilene.topo");
+  ASSERT_TRUE(topo.ok()) << topo.status().ToString();
+  Result<runtime::CompiledProgramPtr> prog =
+      runtime::Compile(protocols::MincostProgram());
+  ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+  net::Simulator sim;
+  auto engines = protocols::MakeEngines(&sim, *topo, *prog);
+  ProvenanceQuerier querier(&sim, protocols::EnginePtrs(engines));
+  ASSERT_TRUE(protocols::InstallLinks(*topo, &engines, &sim).ok());
+
+  auto render = [](const QueryResult& r) {
+    std::string out = "count=" + std::to_string(r.count) + " leaves=";
+    std::vector<Vid> leaves = r.leaf_vids;
+    std::sort(leaves.begin(), leaves.end());
+    for (Vid v : leaves) out += std::to_string(v) + ",";
+    out += " nodes=";
+    for (NodeId n : r.nodes) out += std::to_string(n) + ",";
+    return out + (r.truncated ? " truncated" : "");
+  };
+  size_t event = 0;
+  auto check_all = [&] {
+    for (const auto& engine : engines) {
+      for (const Tuple& t : engine->TableContents("mincost")) {
+        for (QueryType type : {QueryType::kLineage, QueryType::kNodeSet,
+                               QueryType::kDerivCount}) {
+          QueryOptions cached;
+          cached.type = type;
+          QueryOptions uncached = cached;
+          uncached.use_cache = false;
+          Result<QueryResult> hit = querier.Query(t, cached);
+          Result<QueryResult> fresh = querier.Query(t, uncached);
+          ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+          ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+          EXPECT_EQ(render(*hit), render(*fresh))
+              << "event " << event << ", " << t.ToString() << ", type "
+              << static_cast<int>(type);
+        }
+      }
+    }
+  };
+  check_all();  // fills every node's cache at the converged state
+  for (const net::CostedLink& l : topo->links) {
+    ASSERT_TRUE(protocols::FailLink(l.a, l.b, l.cost, &engines, &sim).ok());
+    ++event;
+    check_all();
+    ASSERT_TRUE(
+        protocols::RecoverLink(l.a, l.b, l.cost, &engines, &sim).ok());
+    ++event;
+    check_all();
+  }
+  EXPECT_GT(querier.total_cache_hits(), 0u);
 }
 
 }  // namespace

@@ -2,9 +2,10 @@
 // fixpoints with derivation counts, aggregate group internals (so later
 // incremental updates behave as if the crash never happened), the VID
 // interner and index, soft-state lifetimes at their ORIGINAL absolute
-// deadlines, and the provenance slice (a fresh ProvStore bootstrapped from
-// the restored tables reproduces the canonical graph). HaltForCrash must
-// fence every pending timer of the dead incarnation.
+// deadlines, and the provenance slice (the store attached before the crash
+// reads the restored tables and reproduces the canonical graph, at a larger
+// version). HaltForCrash must fence every pending timer of the dead
+// incarnation.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -64,18 +65,25 @@ TEST(CheckpointTest, RoundTripPreservesConvergedState) {
 
   const std::string before = EngineFingerprint(*engines[1]);
   const std::string graph_before = store->CanonicalGraph();
+  const uint64_t version_before = store->version();
   ASSERT_FALSE(before.empty());
   ASSERT_FALSE(graph_before.empty());
 
   EngineCheckpoint ckpt = engines[1]->TakeCheckpoint();
   engines[1]->HaltForCrash();
   engines[1]->RestoreCheckpoint(ckpt);
-  // The restore cleared the observers; the old store is dead. A fresh one
-  // bootstraps its adjacency from the restored prov/ruleExec tables.
-  store = std::make_unique<provenance::ProvStore>(engines[1].get());
 
+  // The pre-crash store needs no re-attach: it reads the restored tables
+  // (its indexes were rebuilt with them), and the version moved on, so no
+  // cache keyed on the old version survives the restore.
   EXPECT_EQ(EngineFingerprint(*engines[1]), before);
   EXPECT_EQ(store->CanonicalGraph(), graph_before);
+  EXPECT_GT(store->version(), version_before);
+  size_t edges = 0;
+  for (Vid vid : store->AllVids()) {
+    store->EdgesFor(vid, [&](const provenance::ProvEdge&) { ++edges; });
+  }
+  EXPECT_EQ(edges, store->edge_count());
 }
 
 // Aggregate internals (contribution multisets, last outputs) must survive:
